@@ -12,6 +12,7 @@ from repro.cal.resource import Resource
 from repro.compiler import compile_kernel
 from repro.il.module import ILKernel
 from repro.il.types import DataType, MemorySpace, ShaderMode
+from repro.isa.program import ISAProgram
 from repro.sim.config import LaunchConfig, PAPER_ITERATIONS, SimConfig
 
 
@@ -67,19 +68,25 @@ class Context:
         resource.mark_freed()
 
     # ---- modules ----------------------------------------------------------
-    def load_module(self, kernel: ILKernel) -> Module:
+    def load_module(
+        self, kernel: ILKernel, program: ISAProgram | None = None
+    ) -> Module:
         """Compile an IL kernel for this device and wrap it as a module.
 
-        When a :class:`repro.compiler.cache.CompileCache` is installed
-        (the jobs engine scopes one around its runs), the compile goes
-        through it — repeated loads of content-identical kernels reuse
-        the compiled program instead of recompiling per launch.
+        ``program``, when given, is used as is: the caller vouches that
+        it was compiled from content-identical IL under this device's
+        ``CompileOptions`` (the suite reuses one program across a compile
+        group).  Otherwise, when a :class:`repro.compiler.cache
+        .CompileCache` is installed (the jobs engine scopes one around
+        its runs), the compile goes through it.
         """
         if not self.device.supports(kernel.mode):
             raise UnsupportedError(
                 f"{self.device.spec.chip} does not support "
                 f"{kernel.mode.value} shader mode"
             )
+        if program is not None:
+            return Module(kernel=kernel, program=program)
         # Imported lazily: the compile cache sits above repro.jobs in the
         # layering, and plain contexts must not pay for it.
         from repro.compiler.cache import active_cache

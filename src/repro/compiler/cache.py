@@ -1,30 +1,32 @@
 """Content-addressed compiled-program cache (the JIT-kernel-cache analog).
 
-PR 3 made *simulation* content-addressed; this module does the same for
-compilation, the last uncached stage.  A :class:`CompileCache` fronts
-:func:`~repro.compiler.pipeline.compile_kernel` with two tiers:
+The result cache (:mod:`repro.jobs`) made *simulation* content-addressed;
+this module does the same for compilation.  A :class:`CompileCache`
+fronts :func:`~repro.compiler.pipeline.compile_kernel` with two tiers:
 
-1. an **in-process LRU** of live :class:`~repro.isa.program.ISAProgram`
-   objects — the compile-once guarantee inside a run or pool worker;
+1. the **current program** in memory — the jobs engine runs pending
+   units in compile-group order (docs/jobs.md), so every reuse follows
+   the previous request and one slot is all the memory tier needs;
 2. an optional **on-disk shard store** (:class:`ProgramStore`, built on
    the same :class:`~repro.jobs.blobstore.BlobStore` machinery as the
    result cache) holding the stable JSON serialization from
    :mod:`repro.isa.serialize` — warm-start across processes and runs.
 
 Keys hash everything compiled output depends on: the canonical IL text,
-the GPU spec fingerprint, the clause-size options, the resolved verify
-flag, :data:`~repro.jobs.units.CODE_VERSION` and the serialization
-schema.  A cache hit therefore *is* the verified compile it replaces —
+the clause-size options, the resolved verify flag,
+:data:`~repro.jobs.units.CODE_VERSION` and the serialization schema.
+The GPU is not part of the key: ``compile_kernel`` reads nothing from it
+but the clause-size options, so chips with equal options share programs.
+A cache hit therefore *is* the verified compile it replaces —
 verification ran when the entry was created, under the same key — and
 the differential round-trip tests prove deserialized programs execute
 bitwise-identically.
 
 The cache is **scoped, never ambient-by-default**: plain
-``compile_kernel`` calls stay uncached (telemetry tests pin a ``compile``
-span per serial figure point).  The jobs engine installs one around its
-runs via :func:`compile_cache_scope`, and pool workers install a
-process-local one at startup.  Traffic is observable through the
-``compile.cache.hit{layer=memory|disk}`` / ``compile.cache.miss`` /
+``compile_kernel`` calls stay uncached.  The jobs engine installs one
+around its runs via :func:`compile_cache_scope`, and pool workers
+install a process-local one at startup.  Traffic is observable through
+the ``compile.cache.hit{layer=memory|disk}`` / ``compile.cache.miss`` /
 ``compile.cache.serialize`` counters (docs/telemetry.md).
 """
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import OrderedDict
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
@@ -41,7 +42,7 @@ from typing import TYPE_CHECKING, Iterator
 from repro import telemetry
 from repro.il.text import cached_il_text
 from repro.jobs.blobstore import BlobStore
-from repro.jobs.units import CODE_VERSION, gpu_fingerprint
+from repro.jobs.units import CODE_VERSION
 from repro.isa.serialize import (
     SCHEMA_VERSION,
     SerializationError,
@@ -55,24 +56,14 @@ if TYPE_CHECKING:
     from repro.il.module import ILKernel
     from repro.isa.program import ISAProgram
 
-#: in-process LRU capacity; the full suite compiles ~400 distinct
-#: programs, so the default holds a whole run without eviction.
-DEFAULT_CAPACITY = 512
-
-
 def compile_cache_key(
-    il_text: str,
-    gpu: "GPUSpec | None",
-    options: "CompileOptions",
-    verify: bool,
+    il_text: str, options: "CompileOptions", verify: bool
 ) -> str:
     """The compiled program's content address (hex, 40 chars)."""
     material = {
         "version": CODE_VERSION,
         "schema": SCHEMA_VERSION,
         "il": hashlib.sha256(il_text.encode()).hexdigest(),
-        "gpu": gpu.chip if gpu is not None else None,
-        "gpu_fingerprint": gpu_fingerprint(gpu) if gpu is not None else None,
         "max_tex_per_clause": options.max_tex_per_clause,
         "max_alu_per_clause": options.max_alu_per_clause,
         "verify": bool(verify),
@@ -126,16 +117,12 @@ class ProgramStore(BlobStore):
 
 
 class CompileCache:
-    """Two-tier compile cache; one instance per engine run / pool worker."""
+    """Two-tier compile cache; one instance per engine / pool worker."""
 
-    def __init__(
-        self,
-        store: ProgramStore | None = None,
-        capacity: int = DEFAULT_CAPACITY,
-    ) -> None:
+    def __init__(self, store: ProgramStore | None = None) -> None:
         self.store = store
-        self.capacity = capacity
-        self._memory: OrderedDict[str, "ISAProgram"] = OrderedDict()
+        #: ``(key, program)`` of the most recent request, if any.
+        self._current: tuple[str, "ISAProgram"] | None = None
         # Session traffic, mirrored into telemetry counters when enabled.
         self.memory_hits = 0
         self.disk_hits = 0
@@ -146,8 +133,9 @@ class CompileCache:
     def hits(self) -> int:
         return self.memory_hits + self.disk_hits
 
-    def __len__(self) -> int:
-        return len(self._memory)
+    def release(self) -> None:
+        """Drop the in-memory program (its compile group is done)."""
+        self._current = None
 
     # ---- the compile front door ------------------------------------------
     def get_or_compile(
@@ -157,7 +145,9 @@ class CompileCache:
         options: "CompileOptions | None" = None,
         verify: bool | None = None,
     ) -> "ISAProgram":
-        """A compiled program for ``kernel``, compiling at most once per key.
+        """A compiled program for ``kernel``, compiling at most once per key
+        while requests for that key arrive back to back (or ever, with a
+        store).
 
         Resolves ``options``/``verify`` exactly like ``compile_kernel``
         so the key matches what an uncached compile would have done.  A
@@ -175,38 +165,31 @@ class CompileCache:
                 CompileOptions.for_gpu(gpu) if gpu is not None
                 else CompileOptions()
             )
-        key = compile_cache_key(cached_il_text(kernel), gpu, options, verify)
+        key = compile_cache_key(cached_il_text(kernel), options, verify)
 
-        program = self._memory.get(key)
-        if program is not None:
-            self._memory.move_to_end(key)
+        if self._current is not None and self._current[0] == key:
             self.memory_hits += 1
             self._count("compile.cache.hit", layer="memory")
-            return program
+            return self._current[1]
 
-        if self.store is not None:
-            program = self.store.load(key, kernel=kernel)
-            if program is not None:
-                self._remember(key, program)
-                self.disk_hits += 1
-                self._count("compile.cache.hit", layer="disk")
-                return program
-
-        self.misses += 1
-        self._count("compile.cache.miss")
-        program = compile_kernel(kernel, gpu, options, verify=verify)
-        self._remember(key, program)
-        if self.store is not None:
-            self.store.save(key, program)
-            self.serialized += 1
-            self._count("compile.cache.serialize")
+        program = (
+            self.store.load(key, kernel=kernel)
+            if self.store is not None
+            else None
+        )
+        if program is not None:
+            self.disk_hits += 1
+            self._count("compile.cache.hit", layer="disk")
+        else:
+            self.misses += 1
+            self._count("compile.cache.miss")
+            program = compile_kernel(kernel, gpu, options, verify=verify)
+            if self.store is not None:
+                self.store.save(key, program)
+                self.serialized += 1
+                self._count("compile.cache.serialize")
+        self._current = (key, program)
         return program
-
-    def _remember(self, key: str, program: "ISAProgram") -> None:
-        self._memory[key] = program
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.capacity:
-            self._memory.popitem(last=False)
 
     @staticmethod
     def _count(name: str, **labels) -> None:
@@ -235,16 +218,17 @@ def install_cache(cache: CompileCache | None) -> CompileCache | None:
 @contextmanager
 def compile_cache_scope(cache: CompileCache) -> Iterator[CompileCache]:
     """Route ``Context.load_module`` compiles through ``cache`` within the
-    block (the jobs engine wraps each run in this)."""
+    block (the jobs engine wraps each run in this); leaving the block
+    drops the cache's in-memory program."""
     previous = install_cache(cache)
     try:
         yield cache
     finally:
         install_cache(previous)
+        cache.release()
 
 
 __all__ = [
-    "DEFAULT_CAPACITY",
     "CompileCache",
     "ProgramStore",
     "active_cache",

@@ -10,15 +10,20 @@ it consults, in priority order:
    (``resume=True``),
 2. the **result cache** — content-addressed records from any earlier run,
 3. the **scheduler** — everything still pending, deduplicated by cache
-   key (identical launches shared between figures simulate once), run
-   either inline (``jobs <= 1``, the deterministic default) or across a
-   ``ProcessPoolExecutor`` with per-unit timeout and one retry after a
-   worker-pool crash.
+   key (identical launches shared between figures simulate once) and
+   ordered by compile group (:func:`compile_groups`), run either inline
+   (``jobs <= 1``, the deterministic default) or across a
+   ``ProcessPoolExecutor`` — one task per compile group — with a
+   per-unit timeout budget and one retry after a worker-pool crash.
 
-Telemetry (when enabled) gets a ``scheduler`` span per ``run()`` call,
-a ``unit`` span per unit with its resolution source, and the
-``jobs.cache.hit`` / ``jobs.cache.miss`` / ``jobs.resumed`` /
-``jobs.simulated`` counters documented in docs/telemetry.md.
+Group order is what lets the compile cache hold one program: every
+reuse of a compiled program follows the previous request for it.
+
+Telemetry (when enabled) gets a ``scheduler`` span per ``run()`` call
+carrying that call's own counts, a ``unit`` span per unit with its
+resolution source, and the ``jobs.cache.hit`` / ``jobs.cache.miss`` /
+``jobs.resumed`` / ``jobs.simulated`` counters documented in
+docs/telemetry.md.
 """
 
 from __future__ import annotations
@@ -32,14 +37,15 @@ from pathlib import Path
 from typing import Sequence
 
 from repro import telemetry
+from repro.compiler.pipeline import CompileOptions
 from repro.jobs.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.jobs.ledger import RunLedger
 from repro.jobs.units import WorkUnit, record_point
 from repro.jobs.worker import (
+    group_payload,
     initialize_worker,
     run_payload,
     simulate_unit,
-    unit_payload,
 )
 
 
@@ -62,24 +68,35 @@ class JobOptions:
     cache_dir: str | Path | None = None
     #: preload the run ledger from a previous (killed) attempt.
     resume: bool = False
-    #: explicit ledger path; defaults to ``<cache root>/ledger.jsonl``.
+    #: explicit ledger path; defaults to ``<cache root>/ledger.jsonl``
+    #: when a cache dir is set or ``resume`` is asked for, and otherwise
+    #: to no ledger at all.
     ledger_path: str | Path | None = None
-    #: per-unit timeout in seconds (measured from when the scheduler
-    #: starts waiting on the unit; ``None`` waits forever).
+    #: per-unit timeout in seconds for the pool; a pool task (one compile
+    #: group of n units) gets n times this, measured from when the
+    #: scheduler starts waiting on it (``None`` waits forever).
     timeout: float | None = None
-    #: compile each distinct (IL, GPU, options) once per run via the
-    #: in-process compiled-program cache (docs/compile-cache.md).
+    #: compile each distinct (IL, options) once per compile group via
+    #: the compiled-program cache (docs/compile-cache.md).
     compile_cache: bool = True
     #: on-disk compiled-program store root; defaults to the result-cache
     #: root (the two tiers share ``results/cache/``), ``None`` with no
     #: cache_dir keeps compiled programs in memory only.
     program_cache_dir: str | Path | None = None
 
-    def resolved_ledger_path(self) -> Path:
+    def resolved_ledger_path(self) -> Path | None:
+        """Where the run ledger lives (``None`` = keep no ledger).
+
+        A run with no cache dir, ledger path or ``resume`` keeps none, so
+        it never truncates another run's resumable ledger.
+        """
         if self.ledger_path is not None:
             return Path(self.ledger_path)
-        root = Path(self.cache_dir) if self.cache_dir else DEFAULT_CACHE_DIR
-        return root / "ledger.jsonl"
+        if self.cache_dir is not None:
+            return Path(self.cache_dir) / "ledger.jsonl"
+        if self.resume:
+            return DEFAULT_CACHE_DIR / "ledger.jsonl"
+        return None
 
     def resolved_program_root(self) -> Path | None:
         """Where compiled programs persist (``None`` = memory tier only)."""
@@ -112,16 +129,17 @@ class JobEngine:
             if self.options.compile_cache
             else None
         )
-        self.ledger = RunLedger(self.options.resolved_ledger_path())
+        ledger_path = self.options.resolved_ledger_path()
+        self.ledger = RunLedger(ledger_path) if ledger_path else None
         self.resumed = 0
         self.simulated = 0
-        if self.options.resume:
+        self._resumed_records: dict[str, dict] = {}
+        if self.ledger is not None and self.options.resume:
             self._resumed_records = self.ledger.load()
             if not self._resumed_records and self.ledger.path.exists():
                 # Stale salt or empty file: start over with a fresh header.
                 self.ledger.discard()
-        else:
-            self._resumed_records = {}
+        elif self.ledger is not None:
             self.ledger.discard()
 
     # ---- execution -------------------------------------------------------
@@ -133,10 +151,12 @@ class JobEngine:
         pending: list[WorkUnit] = []
         seen: set[str] = set()
         uncacheable: list[WorkUnit] = []
+        before = self._totals()
 
-        # Route every inline compile through the engine's program cache,
-        # so each distinct (IL, GPU, options) compiles exactly once per
-        # run.  Pool workers install their own process-local cache (see
+        # Route every inline compile through the engine's program cache;
+        # group order makes each compile group compile (or load) once,
+        # and leaving the scope drops the last group's program.  Pool
+        # workers install their own process-local cache (see
         # ``worker.initialize_worker``).
         scope = (
             compile_cache_scope(self.programs)
@@ -166,11 +186,12 @@ class JobEngine:
                 else:
                     pending.append(unit)
 
-            if pending:
-                if self.options.jobs > 1:
-                    self._run_pool(pending, results)
-                else:
-                    for unit in pending:
+            groups = compile_groups(pending)
+            if groups and self.options.jobs > 1:
+                self._run_pool(groups, results)
+            else:
+                for group in groups:
+                    for unit in group:
                         self._finish(
                             unit, simulate_unit(unit), results, "serial"
                         )
@@ -181,25 +202,32 @@ class JobEngine:
                 self._count("jobs.simulated", unit.figure, mode="inline")
 
             if span:
+                after = self._totals()
                 span.set(
                     distinct=len(seen) + len(uncacheable),
-                    simulated=self.simulated,
-                    resumed=self.resumed,
-                    cache_hits=self.cache.hits if self.cache else 0,
-                    cache_misses=self.cache.misses if self.cache else 0,
-                    # Inline compile-cache traffic; pool workers keep
-                    # their own process-local counters.
-                    compile_hits=self.programs.hits if self.programs else 0,
-                    compile_misses=(
-                        self.programs.misses if self.programs else 0
-                    ),
+                    # This call's own traffic; compile counts cover the
+                    # inline path (pool workers keep their own counters).
+                    **{name: after[name] - before[name] for name in after},
                 )
         return [results[unit.key] for unit in units]
+
+    def _totals(self) -> dict[str, int]:
+        """Engine-lifetime counts, differenced per ``run()`` for its span."""
+        return {
+            "simulated": self.simulated,
+            "resumed": self.resumed,
+            "cache_hits": self.cache.hits if self.cache else 0,
+            "cache_misses": self.cache.misses if self.cache else 0,
+            "compile_hits": self.programs.hits if self.programs else 0,
+            "compile_misses": self.programs.misses if self.programs else 0,
+        }
 
     def close(self, success: bool = True) -> None:
         """Flush the cache index; drop the ledger once the run landed."""
         if self.cache is not None and self.cache.puts:
             self.cache.write_index()
+        if self.ledger is None:
+            return
         if success:
             self.ledger.discard()
         else:
@@ -234,27 +262,33 @@ class JobEngine:
         self.simulated += 1
         if self.cache is not None:
             self.cache.put(unit.key, record, figure=unit.figure)
-        self.ledger.append(unit.key, record)
+        if self.ledger is not None:
+            self.ledger.append(unit.key, record)
         self._count("jobs.simulated", unit.figure, mode=mode)
         self._unit_span(unit, mode, seconds=record["seconds"])
 
     # ---- process pool ----------------------------------------------------
-    def _run_pool(self, pending: list[WorkUnit], results: dict) -> None:
-        remaining = pending
+    def _run_pool(self, groups: list[list[WorkUnit]], results: dict) -> None:
+        remaining = groups
         for attempt in (0, 1):
             try:
                 self._pool_pass(remaining, results)
                 return
             except BrokenProcessPool:
-                remaining = [u for u in remaining if u.key not in results]
+                remaining = [
+                    [u for u in group if u.key not in results]
+                    for group in remaining
+                ]
+                remaining = [group for group in remaining if group]
                 if attempt or not remaining:
+                    units = sum(len(group) for group in remaining)
                     raise JobError(
-                        f"worker pool crashed twice; {len(remaining)} "
+                        f"worker pool crashed twice; {units} "
                         "units unfinished (see the run ledger)"
                     ) from None
-                self._count("jobs.pool_retries", remaining[0].figure)
+                self._count("jobs.pool_retries", remaining[0][0].figure)
 
-    def _pool_pass(self, units: list[WorkUnit], results: dict) -> None:
+    def _pool_pass(self, groups: list[list[WorkUnit]], results: dict) -> None:
         program_root = self.options.resolved_program_root()
         with ProcessPoolExecutor(
             max_workers=self.options.jobs,
@@ -266,21 +300,27 @@ class JobEngine:
             ),
         ) as pool:
             futures = [
-                (unit, pool.submit(run_payload, unit_payload(unit)))
-                for unit in units
+                (group, pool.submit(run_payload, group_payload(group)))
+                for group in groups
             ]
-            for unit, future in futures:
+            timeout = self.options.timeout
+            for group, future in futures:
                 try:
-                    raw = future.result(timeout=self.options.timeout)
+                    raws = future.result(
+                        timeout=None if timeout is None
+                        else timeout * len(group)
+                    )
                 except concurrent.futures.TimeoutError:
                     for _, other in futures:
                         other.cancel()
+                    unit = group[0]
                     raise UnitTimeout(
-                        f"unit {unit.key[:12]} ({unit.figure}/{unit.series} "
-                        f"x={unit.value:g}) exceeded "
-                        f"{self.options.timeout}s"
+                        f"compile group of unit {unit.key[:12]} "
+                        f"({unit.figure}/{unit.series} x={unit.value:g}) "
+                        f"exceeded {timeout}s x {len(group)} units"
                     ) from None
-                self._finish(unit, raw, results, "pool")
+                for unit, raw in zip(group, raws):
+                    self._finish(unit, raw, results, "pool")
 
     # ---- telemetry -------------------------------------------------------
     @staticmethod
@@ -302,3 +342,17 @@ class JobEngine:
             **attrs,
         ):
             pass
+
+
+def compile_groups(units: Sequence[WorkUnit]) -> list[list[WorkUnit]]:
+    """``units`` grouped by compiled program, in first-appearance order.
+
+    A group is every unit with equal IL text, ``CompileOptions`` and
+    verify flag — the compile cache key — so one compile (or one store
+    load) serves it.  Within a group units keep their input order.
+    """
+    groups: dict[tuple, list[WorkUnit]] = {}
+    for unit in units:
+        key = (unit.il_text, CompileOptions.for_gpu(unit.gpu), unit.verify)
+        groups.setdefault(key, []).append(unit)
+    return list(groups.values())

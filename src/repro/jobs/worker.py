@@ -3,8 +3,10 @@
 :func:`simulate_unit` is the whole measurement — compile under the
 unit's verification mode, simulate the launch, reduce the event to the
 small JSON-safe record the cache/ledger stores.  The pool entry point
-:func:`run_payload` is a module-level function (picklable) that rebuilds
-the unit from the payload dict :func:`unit_payload` produced.
+:func:`run_payload` is a module-level function (picklable) that runs the
+units of one compile group, shipped in the payload dict
+:func:`group_payload` produced, in order, so the group compiles once per
+task.
 
 The simulator is deterministic, so the record is bit-identical whether
 the unit runs inline, in a worker process, or is replayed from cache —
@@ -14,11 +16,11 @@ the property the determinism-guard test pins.
 from __future__ import annotations
 
 import dataclasses
+from typing import Sequence
 
 from repro.cal.device import Device
 from repro.cal.timing import time_kernel
 from repro.jobs.units import WorkUnit
-from repro.sim.config import SimConfig
 
 
 def simulate_unit(unit: WorkUnit, device: Device | None = None) -> dict:
@@ -47,11 +49,11 @@ def simulate_unit(unit: WorkUnit, device: Device | None = None) -> dict:
 def initialize_worker(program_root: str | None = None) -> None:
     """Pool-worker startup: install a process-local compile cache.
 
-    Each worker memoizes compiles for its own lifetime (the same kernel
-    arriving as many launch shapes compiles once per worker, not once
-    per unit); with a ``program_root`` the workers additionally share
-    compiled programs with each other — and with past runs — through
-    the on-disk store.
+    Each task is one compile group, so the cache compiles once per task
+    (the same kernel arriving as many launch shapes compiles once, not
+    once per unit); with a ``program_root`` the workers additionally
+    share compiled programs with each other — and with past runs —
+    through the on-disk store.
     """
     from repro.compiler.cache import (
         CompileCache,
@@ -63,43 +65,27 @@ def initialize_worker(program_root: str | None = None) -> None:
     install_cache(CompileCache(store))
 
 
-def unit_payload(unit: WorkUnit) -> dict:
-    """The picklable shape shipped to a worker process.
+def group_payload(units: Sequence[WorkUnit]) -> dict:
+    """The picklable shape of one compile group shipped to a worker.
 
     ``SimConfig.clause_stream`` is session wiring (callbacks into the
     parent's tracer) and cannot cross a process boundary; the scheduler
     refuses to parallelize units that carry one, so stripping it here is
-    safe for the payloads that do get shipped.
+    safe for the payloads that do get shipped.  The group's units share
+    one kernel object, which pickles once.
     """
-    sim = unit.sim
-    if sim.clause_stream is not None:
-        sim = dataclasses.replace(sim, clause_stream=None)
     return {
-        "figure": unit.figure,
-        "series": unit.series,
-        "value": unit.value,
-        "kernel": unit.kernel,
-        "gpu": unit.gpu,
-        "domain": unit.domain,
-        "block": unit.block,
-        "iterations": unit.iterations,
-        "sim": sim,
-        "verify": unit.verify,
+        "units": [
+            unit
+            if unit.sim.clause_stream is None
+            else dataclasses.replace(
+                unit, sim=dataclasses.replace(unit.sim, clause_stream=None)
+            )
+            for unit in units
+        ]
     }
 
 
-def run_payload(payload: dict) -> dict:
-    """Pool entry point: payload dict in, record dict out."""
-    unit = WorkUnit(
-        figure=payload["figure"],
-        series=payload["series"],
-        value=payload["value"],
-        kernel=payload["kernel"],
-        gpu=payload["gpu"],
-        domain=tuple(payload["domain"]),
-        block=tuple(payload["block"]),
-        iterations=payload["iterations"],
-        sim=payload["sim"] if payload["sim"] is not None else SimConfig(),
-        verify=payload["verify"],
-    )
-    return simulate_unit(unit)
+def run_payload(payload: dict) -> list[dict]:
+    """Pool entry point: one group's payload in, its records out, in order."""
+    return [simulate_unit(unit) for unit in payload["units"]]

@@ -1,10 +1,11 @@
 """Micro-benchmark machinery shared by all five benchmarks.
 
 Each benchmark produces, for every (GPU, shader mode, data type) series,
-one kernel per sweep value; the harness compiles it, allocates its
-streams, runs it the paper's 5000 iterations on the simulated chip, and
-records the seconds.  RV670 series in compute mode are skipped (the chip
-predates compute shader support — §IV), matching the figures' legends.
+one kernel per sweep value; the harness compiles it (once per distinct
+program in the figure), allocates its streams, runs it the paper's 5000
+iterations on the simulated chip, and records the seconds.  RV670
+series in compute mode are skipped (the chip predates compute shader
+support — §IV), matching the figures' legends.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.arch.registry import all_gpus
 from repro.arch.specs import GPUSpec
 from repro.cal.device import Device
 from repro.cal.timing import time_kernel
+from repro.compiler.pipeline import CompileOptions
 from repro.il.module import ILKernel
 from repro.il.types import DataType, ShaderMode
 from repro.sim.config import NAIVE_BLOCK, PAPER_ITERATIONS, SimConfig
@@ -93,10 +95,10 @@ class MicroBenchmark(abc.ABC):
         """Hashable identity of ``build_kernel(value, spec)``'s result.
 
         Two sweep points whose keys compare equal are guaranteed (by the
-        subclass) to build content-identical kernels, so ``plan_units``
-        builds once and shares the object — downstream the shared
-        instance also collapses the IL-text rendering and the compile
-        into one apiece.  ``None`` (the default) disables sharing.  The
+        subclass) to build content-identical kernels, so the serial path
+        compiles them once per compile group and ``plan_units`` builds
+        once and shares the object (which also collapses the IL-text
+        rendering).  ``None`` (the default) disables sharing.  The
         paper's generators never read ``spec.gpu`` or ``spec.block``, so
         every benchmark keys on ``(mode, dtype)`` plus whatever of
         ``value``/its own parameters the kernel body actually uses.
@@ -124,7 +126,7 @@ class MicroBenchmark(abc.ABC):
     ) -> list[tuple[SeriesSpec, float, ILKernel, "WorkUnit"]]:
         """Decompose the sweep into independent, content-addressed units.
 
-        The plan is ordered exactly like the serial loop (series-major,
+        The plan is ordered like the figure's series (series-major,
         sweep-minor), so reassembling the engine's ordered records yields
         a byte-identical :class:`ResultSet`.  Kernels are built here —
         generation is cheap and the canonical IL text is the cache key's
@@ -174,10 +176,14 @@ class MicroBenchmark(abc.ABC):
     ) -> ResultSet:
         """Measure every series over the sweep; returns the figure's data.
 
-        With an ``engine`` (:class:`repro.jobs.JobEngine`) the sweep is
-        decomposed into work units and executed through the cache/ledger/
-        scheduler pipeline; the reassembled figure is bit-identical to
-        the serial path, which remains the default.
+        The serial default runs the points grouped by compiled program
+        (:meth:`_compile_groups`): each group compiles and verifies once,
+        on its first point, and every point still builds its own kernel
+        and lands in its own series slot.  With an ``engine``
+        (:class:`repro.jobs.JobEngine`) the sweep is decomposed into work
+        units and executed through the cache/ledger/scheduler pipeline,
+        which orders pending units the same way.  Both paths give
+        bit-identical figures.
         """
         gpus = gpus if gpus is not None else all_gpus()
         result = ResultSet(
@@ -198,48 +204,69 @@ class MicroBenchmark(abc.ABC):
         # silently corrupt the measurement, so fail loudly instead.
         from repro.verify import verification
 
+        specs = self.series_specs(gpus)
+        values = self.sweep_values(fast)
+        devices = [Device(spec.gpu) for spec in specs]
+        points: dict[tuple[int, int], SeriesPoint] = {}
         with telemetry.span(
             "figure", figure=self.name, fast=fast
         ) as fig_span, verification(True):
-            for spec in self.series_specs(gpus):
-                series = Series(label=spec.label)
-                device = Device(spec.gpu)
-                with telemetry.span(
-                    "series", figure=self.name, label=spec.label
-                ):
-                    for value in self.sweep_values(fast):
-                        kernel = self.build_kernel(value, spec)
-                        event = time_kernel(
-                            device,
-                            kernel,
-                            domain=self.domain_for(value, spec),
-                            block=spec.block,
-                            iterations=self.iterations,
-                            sim=self.sim,
-                        )
-                        program = event.result.program
-                        series.add(
-                            SeriesPoint(
-                                x=self.x_of(value, kernel, program.gpr_count),
-                                seconds=event.seconds,
-                                gprs=program.gpr_count,
-                                resident_wavefronts=(
-                                    event.counters.resident_wavefronts
-                                ),
-                                bound=event.bottleneck.value,
-                            )
-                        )
-                        if telemetry.enabled():
-                            telemetry.metrics().counter(
-                                "suite.points", figure=self.name
-                            ).inc()
-                result.add_series(series)
+            for group in self._compile_groups(specs, values):
+                # The group's first point compiles; the rest reuse its
+                # program, which is dropped once the group is done.
+                program = None
+                for s, i in group:
+                    spec, value = specs[s], values[i]
+                    kernel = self.build_kernel(value, spec)
+                    event = time_kernel(
+                        devices[s],
+                        kernel,
+                        domain=self.domain_for(value, spec),
+                        block=spec.block,
+                        iterations=self.iterations,
+                        sim=self.sim,
+                        program=program,
+                    )
+                    program = event.result.program
+                    points[s, i] = SeriesPoint(
+                        x=self.x_of(value, kernel, program.gpr_count),
+                        seconds=event.seconds,
+                        gprs=program.gpr_count,
+                        resident_wavefronts=event.counters.resident_wavefronts,
+                        bound=event.bottleneck.value,
+                    )
+                    if telemetry.enabled():
+                        telemetry.metrics().counter(
+                            "suite.points", figure=self.name
+                        ).inc()
+            for s, spec in enumerate(specs):
+                row = [points[s, i] for i in range(len(values))]
+                result.add_series(Series(spec.label, row))
             if fig_span:
                 fig_span.set(
                     series=len(result.series),
                     points=sum(len(s) for s in result.series),
                 )
         return result
+
+    def _compile_groups(
+        self, specs: list[SeriesSpec], values: list[float]
+    ) -> list[list[tuple[int, int]]]:
+        """``(series index, point index)`` pairs grouped by compiled program.
+
+        A group is every point with equal :meth:`kernel_key` and equal
+        ``CompileOptions`` — the compiler's whole input — in plan order,
+        so one compile serves it.  Nothing is built to plan the groups.
+        A ``None`` key puts the point in a group of its own.
+        """
+        groups: dict[object, list[tuple[int, int]]] = {}
+        for s, spec in enumerate(specs):
+            options = CompileOptions.for_gpu(spec.gpu)
+            for i, value in enumerate(values):
+                key = self.kernel_key(value, spec)
+                group = (key, options) if key is not None else object()
+                groups.setdefault(group, []).append((s, i))
+        return list(groups.values())
 
     def _run_with_engine(
         self,

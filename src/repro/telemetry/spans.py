@@ -2,7 +2,7 @@
 
 A :class:`Span` is one timed region of the pipeline — a compile, a
 simulated launch, a whole figure sweep — with structured attributes and a
-parent link, so a run unrolls into a tree: ``figure`` > ``series`` >
+parent link, so a run unrolls into a tree: ``figure`` >
 ``time_kernel`` > ``compile`` / ``simulate``.  Instrumented code calls
 :func:`span` as a context manager; when telemetry is disabled (the
 default) the call returns a shared no-op object and costs one dictionary

@@ -6,6 +6,8 @@ import pytest
 
 from repro.cli import main
 
+from tests.helpers import planned_programs
+
 
 class TestInformational:
     def test_devices(self, capsys):
@@ -301,8 +303,12 @@ class TestTelemetryCommands:
         records = telemetry.read_manifest(manifest)
         assert records[0]["type"] == "run"
         assert records[0]["config_hash"]
-        names = {r["name"] for r in records if r["type"] == "span"}
-        assert {"figure", "series", "compile", "simulate"} <= names
+        names = [r["name"] for r in records if r["type"] == "span"]
+        programs, points = planned_programs("fig13")
+        assert {"figure", "compile", "simulate"} <= set(names)
+        assert "series" not in names
+        assert names.count("compile") == programs
+        assert names.count("time_kernel") == points
         metrics = {r["name"] for r in records if r["type"] == "metric"}
         assert any(n.startswith("sim.bottleneck{") for n in metrics)
 

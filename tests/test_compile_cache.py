@@ -1,15 +1,16 @@
 """The content-addressed compiled-program cache (repro.compiler.cache).
 
-Covers the key's invalidation surface, both tiers (in-process LRU and
-on-disk store), the scoped install used by the jobs engine, the
-compile-once guarantee for kernel-sharing sweeps, the verification memo,
-and the CLI surface that reports and maintains the store.
+Covers the key's invalidation surface, both tiers (the current program
+in memory and the on-disk store), the scoped install used by the jobs
+engine, the compile-once guarantee for kernel-sharing sweeps, the
+verification memo, and the CLI surface that reports and maintains the
+store.
 """
 
 import json
 
 from repro import telemetry
-from repro.arch import RV670, RV770
+from repro.arch import RV670, RV770, RV870
 from repro.cli import main
 from repro.compiler import CompileOptions, compile_kernel
 from repro.compiler import cache as cache_mod
@@ -37,48 +38,58 @@ BASE_OPTIONS = CompileOptions()
 class TestCacheKey:
     def test_deterministic(self):
         il = cached_il_text(kernel_n())
-        a = compile_cache_key(il, RV770, BASE_OPTIONS, True)
-        b = compile_cache_key(il, RV770, BASE_OPTIONS, True)
+        a = compile_cache_key(il, BASE_OPTIONS, True)
+        b = compile_cache_key(il, BASE_OPTIONS, True)
         assert a == b
         assert len(a) == 40
 
     def test_il_text_changes_key(self):
-        a = compile_cache_key(
-            cached_il_text(kernel_n(8)), RV770, BASE_OPTIONS, True
-        )
-        b = compile_cache_key(
-            cached_il_text(kernel_n(12)), RV770, BASE_OPTIONS, True
-        )
+        a = compile_cache_key(cached_il_text(kernel_n(8)), BASE_OPTIONS, True)
+        b = compile_cache_key(cached_il_text(kernel_n(12)), BASE_OPTIONS, True)
         assert a != b
 
-    def test_gpu_changes_key(self):
+    def test_chips_share_a_key_and_program_iff_options_match(self):
+        # compile_kernel reads only the clause-size options from the
+        # GPU, so chips with equal options share one key and one
+        # program, and different options do not.
         il = cached_il_text(kernel_n())
-        assert compile_cache_key(il, RV770, BASE_OPTIONS, True) != (
-            compile_cache_key(il, RV670, BASE_OPTIONS, True)
-        )
-        assert compile_cache_key(il, RV770, BASE_OPTIONS, True) != (
-            compile_cache_key(il, None, BASE_OPTIONS, True)
-        )
+        chips = (RV670, RV770, RV870)
+        keys = {
+            compile_cache_key(il, CompileOptions.for_gpu(gpu), True)
+            for gpu in chips
+        }
+        assert len(keys) == 1
+        cache = CompileCache()
+        kernel = kernel_n()
+        programs = [cache.get_or_compile(kernel, gpu) for gpu in chips]
+        assert all(program is programs[0] for program in programs)
+        assert cache.misses == 1 and cache.memory_hits == 2
+
+        small = CompileOptions(max_alu_per_clause=16)
+        assert compile_cache_key(il, small, True) not in keys
+        other = cache.get_or_compile(kernel, RV770, options=small)
+        assert other is not programs[0]
+        assert cache.misses == 2
 
     def test_clause_options_change_key(self):
         il = cached_il_text(kernel_n())
         small = CompileOptions(max_alu_per_clause=16)
-        assert compile_cache_key(il, RV770, BASE_OPTIONS, True) != (
-            compile_cache_key(il, RV770, small, True)
+        assert compile_cache_key(il, BASE_OPTIONS, True) != (
+            compile_cache_key(il, small, True)
         )
 
     def test_verify_flag_changes_key(self):
         il = cached_il_text(kernel_n())
-        assert compile_cache_key(il, RV770, BASE_OPTIONS, True) != (
-            compile_cache_key(il, RV770, BASE_OPTIONS, False)
+        assert compile_cache_key(il, BASE_OPTIONS, True) != (
+            compile_cache_key(il, BASE_OPTIONS, False)
         )
 
     def test_code_version_changes_key(self, monkeypatch):
         # Bumping CODE_VERSION must orphan every cached program.
         il = cached_il_text(kernel_n())
-        before = compile_cache_key(il, RV770, BASE_OPTIONS, True)
+        before = compile_cache_key(il, BASE_OPTIONS, True)
         monkeypatch.setattr(cache_mod, "CODE_VERSION", 999_999)
-        assert compile_cache_key(il, RV770, BASE_OPTIONS, True) != before
+        assert compile_cache_key(il, BASE_OPTIONS, True) != before
 
 
 class TestMemoryTier:
@@ -92,27 +103,29 @@ class TestMemoryTier:
         assert cache.memory_hits == 1
         assert cache.hits == 1
 
-    def test_distinct_gpus_miss_separately(self):
+    def test_only_the_current_program_is_kept(self):
         cache = CompileCache()
-        kernel = kernel_n()
-        a = cache.get_or_compile(kernel, RV770)
-        b = cache.get_or_compile(kernel, RV670)
-        assert a is not b
-        assert cache.misses == 2
-
-    def test_lru_eviction(self):
-        cache = CompileCache(capacity=2)
         kernels = [kernel_n(8), kernel_n(12), kernel_n(16)]
         for k in kernels:
             cache.get_or_compile(k, RV770)
-        assert len(cache) == 2
         assert cache.misses == 3
-        # The oldest entry was evicted; re-requesting it recompiles.
+        # An earlier program was dropped; re-requesting it recompiles.
         cache.get_or_compile(kernels[0], RV770)
         assert cache.misses == 4
-        # ...while the most recent survivor is still a hit.
-        cache.get_or_compile(kernels[2], RV770)
+        # ...while the current one is a hit until released.
+        cache.get_or_compile(kernels[0], RV770)
         assert cache.memory_hits == 1
+        cache.release()
+        cache.get_or_compile(kernels[0], RV770)
+        assert cache.misses == 5
+
+    def test_scope_exit_releases_the_program(self):
+        cache = CompileCache()
+        kernel = kernel_n()
+        with compile_cache_scope(cache):
+            cache.get_or_compile(kernel, RV770)
+        cache.get_or_compile(kernel, RV770)
+        assert cache.misses == 2
 
 
 class TestDiskTier:
@@ -130,7 +143,7 @@ class TestDiskTier:
         assert warm.gpr_count == program.gpr_count
         # The warm load is parse-free: the caller's kernel is attached.
         assert warm.kernel is kernel
-        # Now resident in the memory tier.
+        # Now the current program in the memory tier.
         reader.get_or_compile(kernel, RV770)
         assert reader.memory_hits == 1
 
@@ -182,9 +195,8 @@ class TestScopedInstall:
         assert active_cache() is None
 
     def test_plain_compile_kernel_stays_uncached(self):
-        # Serial figure runs must keep one compile span per point
-        # (pinned by test_telemetry); compile_kernel itself never
-        # consults the ambient cache — only Context.load_module does.
+        # compile_kernel itself never consults the ambient cache — only
+        # Context.load_module does.
         cache = CompileCache()
         with compile_cache_scope(cache):
             compile_kernel(kernel_n(), RV770)

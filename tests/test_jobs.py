@@ -15,10 +15,12 @@ import os
 import pytest
 
 import repro.jobs.units as units_mod
+from repro import telemetry
 from repro.arch import RV770, RV870
 from repro.il.types import DataType, ShaderMode
 from repro.jobs import (
     CODE_VERSION,
+    DEFAULT_CACHE_DIR,
     JobEngine,
     JobOptions,
     ResultCache,
@@ -301,6 +303,48 @@ class TestEngine:
             engine.run([bad])
         engine.close(success=False)
 
+    def test_cacheless_run_leaves_an_existing_ledger_alone(
+        self, tmp_path, monkeypatch
+    ):
+        # A killed --cache run left its resumable ledger behind; a later
+        # run with no cache dir (e.g. `repro suite --jobs 2`) must not
+        # truncate it.
+        monkeypatch.chdir(tmp_path)
+        path = DEFAULT_CACHE_DIR / "ledger.jsonl"
+        path.parent.mkdir(parents=True)
+        killed = RunLedger(path)
+        killed.append("e" * 40, record_point(simulate_unit(make_unit())))
+        killed.close()
+        before = path.read_bytes()
+
+        engine = JobEngine(JobOptions(jobs=2))
+        assert engine.ledger is None
+        engine.run([make_unit(ratio=2.0)])
+        engine.close(success=True)
+        assert path.read_bytes() == before
+
+    def test_scheduler_spans_report_per_call_counts(self, tmp_path):
+        engine = JobEngine(JobOptions(cache_dir=tmp_path))
+        with telemetry.recording() as tracer:
+            engine.run([make_unit(ratio=0.5), make_unit(ratio=1.0)])
+            engine.run([make_unit(ratio=1.0), make_unit(ratio=2.0)])
+        engine.close()
+        first, second = (
+            s.attributes for s in tracer.finished() if s.name == "scheduler"
+        )
+        assert (first["simulated"], second["simulated"]) == (2, 1)
+        assert (first["cache_hits"], second["cache_hits"]) == (0, 1)
+        totals = {
+            "simulated": engine.simulated,
+            "resumed": engine.resumed,
+            "cache_hits": engine.cache.hits,
+            "cache_misses": engine.cache.misses,
+            "compile_hits": engine.programs.hits,
+            "compile_misses": engine.programs.misses,
+        }
+        for name, total in totals.items():
+            assert first[name] + second[name] == total, name
+
 
 def _crash_once_then_run(payload):
     """Pool entry that hard-kills its worker on first use (see retry test)."""
@@ -320,14 +364,14 @@ class TestPoolCrashRetry:
 
         sentinel = tmp_path / "crashed"
         monkeypatch.setattr(sched_mod, "run_payload", _crash_once_then_run)
-        original_payload = sched_mod.unit_payload
+        original_payload = sched_mod.group_payload
 
-        def payload_with_sentinel(unit):
-            payload = original_payload(unit)
+        def payload_with_sentinel(units):
+            payload = original_payload(units)
             payload["_sentinel"] = str(sentinel)
             return payload
 
-        monkeypatch.setattr(sched_mod, "unit_payload", payload_with_sentinel)
+        monkeypatch.setattr(sched_mod, "group_payload", payload_with_sentinel)
 
         unit = make_unit()
         engine = JobEngine(

@@ -18,6 +18,8 @@ from repro.telemetry import (
 )
 from repro.telemetry.spans import _NOOP
 
+from tests.helpers import planned_programs
+
 
 @pytest.fixture(autouse=True)
 def _telemetry_off():
@@ -285,13 +287,16 @@ class TestEventStreamHook:
 
 
 class TestInstrumentationIntegration:
-    def test_figure_run_produces_figure_and_series_spans(self):
+    def test_figure_run_spans_one_compile_per_program(self):
         with telemetry.recording() as tracer:
             run_benchmark("fig13", fast=True)
         names = [s.name for s in tracer.finished()]
-        assert "figure" in names
-        assert names.count("series") >= 2
-        assert "compile" in names and "simulate" in names
+        programs, points = planned_programs("fig13")
+        assert names.count("figure") == 1
+        assert "series" not in names
+        assert names.count("compile") == programs
+        assert names.count("time_kernel") == points
+        assert "simulate" in names
         figure = next(s for s in tracer.spans if s.name == "figure")
         assert figure.attributes["figure"] == "fig13"
         assert figure.attributes["series"] >= 2
