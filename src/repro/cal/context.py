@@ -75,26 +75,15 @@ class Context:
 
         ``program``, when given, is used as is: the caller vouches that
         it was compiled from content-identical IL under this device's
-        ``CompileOptions`` (the suite reuses one program across a compile
-        group).  Otherwise, when a :class:`repro.compiler.cache
-        .CompileCache` is installed (the jobs engine scopes one around
-        its runs), the compile goes through it.
+        ``CompileOptions`` (the suite and the jobs engine reuse one
+        program across a compile group).
         """
         if not self.device.supports(kernel.mode):
             raise UnsupportedError(
                 f"{self.device.spec.chip} does not support "
                 f"{kernel.mode.value} shader mode"
             )
-        if program is not None:
-            return Module(kernel=kernel, program=program)
-        # Imported lazily: the compile cache sits above repro.jobs in the
-        # layering, and plain contexts must not pay for it.
-        from repro.compiler.cache import active_cache
-
-        cache = active_cache()
-        if cache is not None:
-            program = cache.get_or_compile(kernel, self.device.spec)
-        else:
+        if program is None:
             program = compile_kernel(kernel, self.device.spec)
         return Module(kernel=kernel, program=program)
 

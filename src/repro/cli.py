@@ -164,8 +164,28 @@ def _add_jobs_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-unit timeout when running with --jobs",
+        help="per-unit timeout when running with --jobs N>1",
     )
+
+
+def _check_jobs_arguments(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> None:
+    """Reject engine flags that would otherwise be silently ignored."""
+    if not hasattr(args, "jobs"):
+        return
+    if args.jobs < 0:
+        parser.error(f"--jobs must be >= 0 (got {args.jobs})")
+    if args.unit_timeout is not None:
+        if not args.unit_timeout > 0:  # also rejects nan
+            parser.error(
+                f"--unit-timeout must be > 0 (got {args.unit_timeout:g})"
+            )
+        if args.jobs <= 1:
+            parser.error(
+                "--unit-timeout only applies to a worker pool; "
+                "add --jobs N with N > 1"
+            )
 
 
 def _engine_from_args(args: argparse.Namespace):
@@ -357,7 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    _check_jobs_arguments(parser, args)
 
     # ``--telemetry`` records the whole invocation; ``profile`` records
     # in-memory even without a manifest path so it has spans to render.

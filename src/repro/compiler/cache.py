@@ -22,12 +22,13 @@ verification ran when the entry was created, under the same key — and
 the differential round-trip tests prove deserialized programs execute
 bitwise-identically.
 
-The cache is **scoped, never ambient-by-default**: plain
-``compile_kernel`` calls stay uncached.  The jobs engine installs one
-around its runs via :func:`compile_cache_scope`, and pool workers
-install a process-local one at startup.  Traffic is observable through
-the ``compile.cache.hit{layer=memory|disk}`` / ``compile.cache.miss`` /
-``compile.cache.serialize`` counters (docs/telemetry.md).
+The cache is never ambient: plain ``compile_kernel`` calls stay
+uncached.  The jobs engine owns one (``JobEngine.programs``), and each
+pool task builds its own; either asks it for a unit's program and hands
+that program to the launch (``time_kernel(program=)``).  Traffic is
+observable through the ``compile.cache.hit{layer=memory|disk}`` /
+``compile.cache.miss`` / ``compile.cache.serialize`` counters
+(docs/telemetry.md).
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro import telemetry
 from repro.il.text import cached_il_text
@@ -117,7 +117,7 @@ class ProgramStore(BlobStore):
 
 
 class CompileCache:
-    """Two-tier compile cache; one instance per engine / pool worker."""
+    """Two-tier compile cache; one instance per engine / pool task."""
 
     def __init__(self, store: ProgramStore | None = None) -> None:
         self.store = store
@@ -197,42 +197,8 @@ class CompileCache:
             telemetry.metrics().counter(name, **labels).inc()
 
 
-# ---- the ambient (scoped) cache ----------------------------------------------
-
-_active: CompileCache | None = None
-
-
-def active_cache() -> CompileCache | None:
-    """The cache installed for this process, if any (default: none)."""
-    return _active
-
-
-def install_cache(cache: CompileCache | None) -> CompileCache | None:
-    """Install ``cache`` process-wide; returns the previous one."""
-    global _active
-    previous = _active
-    _active = cache
-    return previous
-
-
-@contextmanager
-def compile_cache_scope(cache: CompileCache) -> Iterator[CompileCache]:
-    """Route ``Context.load_module`` compiles through ``cache`` within the
-    block (the jobs engine wraps each run in this); leaving the block
-    drops the cache's in-memory program."""
-    previous = install_cache(cache)
-    try:
-        yield cache
-    finally:
-        install_cache(previous)
-        cache.release()
-
-
 __all__ = [
     "CompileCache",
     "ProgramStore",
-    "active_cache",
     "compile_cache_key",
-    "compile_cache_scope",
-    "install_cache",
 ]

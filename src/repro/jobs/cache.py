@@ -1,15 +1,13 @@
-"""On-disk result cache: content-addressed JSON blobs plus an index.
+"""On-disk result cache: content-addressed JSON blobs.
 
 Layout (default root ``results/cache/``)::
 
     results/cache/
-      index.json            # entry metadata, rebuilt from blobs if stale
       objects/ab/<key>.json # one blob per unit record
 
 Blobs are content-addressed by :func:`repro.jobs.units.cache_key`, so a
-``get`` is a single path probe — the index is metadata for ``stats`` and
-``gc``, not a lookup dependency, and a missing or corrupt index never
-loses data.  The sharded layout, atomic writes and salt-aware
+``get`` is a single path probe; ``stats`` and ``gc`` scan the blobs
+themselves (each carries its figure and salt).  The sharded layout, atomic writes and salt-aware
 maintenance live in :class:`repro.jobs.blobstore.BlobStore`, shared with
 the compiled-program cache (:mod:`repro.compiler.cache`) — docs/jobs.md
 describes the two-tier arrangement.
@@ -21,7 +19,6 @@ wrong; ``gc`` reaps blobs recorded under a different salt.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,11 +68,6 @@ class ResultCache(BlobStore):
         self.misses = 0
         self.puts = 0
 
-    # ---- paths -----------------------------------------------------------
-    @property
-    def index_path(self) -> Path:
-        return self.root / "index.json"
-
     # ---- core API --------------------------------------------------------
     def get(self, key: str) -> dict | None:
         """The cached record for ``key``, or ``None`` (counted as a miss).
@@ -121,38 +113,3 @@ class ResultCache(BlobStore):
             figure = blob.get("figure") or "?"
             stats.by_figure[figure] = stats.by_figure.get(figure, 0) + 1
         return stats
-
-    def write_index(self) -> Path:
-        """Snapshot entry metadata to ``index.json`` (human/tooling aid)."""
-        entries = {}
-        for path, blob in self.iter_blobs():
-            if blob is None:
-                continue
-            entries[blob.get("key", path.stem)] = {
-                "version": blob.get("version"),
-                "figure": blob.get("figure"),
-                "created": blob.get("created"),
-            }
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.index_path.write_text(
-            json.dumps(
-                {"salt": CODE_VERSION, "entries": entries}, sort_keys=True
-            )
-        )
-        return self.index_path
-
-    def gc(self) -> int:
-        """Delete unreadable blobs and ones salted under another version."""
-        removed = super().gc()
-        if self.index_path.exists():
-            self.write_index()
-        return removed
-
-    def clear(self) -> int:
-        """Delete every entry (and the index); returns the removed count."""
-        removed = super().clear()
-        try:
-            self.index_path.unlink()
-        except OSError:
-            pass
-        return removed

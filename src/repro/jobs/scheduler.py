@@ -17,7 +17,10 @@ it consults, in priority order:
    per-unit timeout budget and one retry after a worker-pool crash.
 
 Group order is what lets the compile cache hold one program: every
-reuse of a compiled program follows the previous request for it.
+reuse of a compiled program follows the previous request for it.  Both
+the inline loop and each pool task run a group through
+:func:`repro.jobs.worker.run_group`, which asks a compile cache for each
+unit's program and passes it to the launch.
 
 Telemetry (when enabled) gets a ``scheduler`` span per ``run()`` call
 carrying that call's own counts, a ``unit`` span per unit with its
@@ -31,7 +34,6 @@ from __future__ import annotations
 import concurrent.futures
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -41,12 +43,7 @@ from repro.compiler.pipeline import CompileOptions
 from repro.jobs.cache import DEFAULT_CACHE_DIR, ResultCache
 from repro.jobs.ledger import RunLedger
 from repro.jobs.units import WorkUnit, record_point
-from repro.jobs.worker import (
-    group_payload,
-    initialize_worker,
-    run_payload,
-    simulate_unit,
-)
+from repro.jobs.worker import group_payload, run_group, run_payload
 
 
 class JobError(RuntimeError):
@@ -76,9 +73,6 @@ class JobOptions:
     #: group of n units) gets n times this, measured from when the
     #: scheduler starts waiting on it (``None`` waits forever).
     timeout: float | None = None
-    #: compile each distinct (IL, options) once per compile group via
-    #: the compiled-program cache (docs/compile-cache.md).
-    compile_cache: bool = True
     #: on-disk compiled-program store root; defaults to the result-cache
     #: root (the two tiers share ``results/cache/``), ``None`` with no
     #: cache_dir keeps compiled programs in memory only.
@@ -100,8 +94,6 @@ class JobOptions:
 
     def resolved_program_root(self) -> Path | None:
         """Where compiled programs persist (``None`` = memory tier only)."""
-        if not self.compile_cache:
-            return None
         if self.program_cache_dir is not None:
             return Path(self.program_cache_dir)
         if self.cache_dir is not None:
@@ -122,12 +114,10 @@ class JobEngine:
             else None
         )
         program_root = self.options.resolved_program_root()
-        self.programs = (
-            CompileCache(
-                ProgramStore(program_root) if program_root else None
-            )
-            if self.options.compile_cache
-            else None
+        #: compiles each distinct (IL, options) once per compile group
+        #: (docs/compile-cache.md).
+        self.programs = CompileCache(
+            ProgramStore(program_root) if program_root else None
         )
         ledger_path = self.options.resolved_ledger_path()
         self.ledger = RunLedger(ledger_path) if ledger_path else None
@@ -145,25 +135,13 @@ class JobEngine:
     # ---- execution -------------------------------------------------------
     def run(self, units: Sequence[WorkUnit]) -> list[dict]:
         """Execute ``units``; returns one record per unit, same order."""
-        from repro.compiler.cache import compile_cache_scope
-
         results: dict[str, dict] = {}
         pending: list[WorkUnit] = []
         seen: set[str] = set()
         uncacheable: list[WorkUnit] = []
         before = self._totals()
 
-        # Route every inline compile through the engine's program cache;
-        # group order makes each compile group compile (or load) once,
-        # and leaving the scope drops the last group's program.  Pool
-        # workers install their own process-local cache (see
-        # ``worker.initialize_worker``).
-        scope = (
-            compile_cache_scope(self.programs)
-            if self.programs is not None
-            else nullcontext()
-        )
-        with scope, telemetry.span(
+        with telemetry.span(
             "scheduler",
             jobs=self.options.jobs,
             units=len(units),
@@ -187,19 +165,22 @@ class JobEngine:
                     pending.append(unit)
 
             groups = compile_groups(pending)
-            if groups and self.options.jobs > 1:
-                self._run_pool(groups, results)
-            else:
-                for group in groups:
-                    for unit in group:
-                        self._finish(
-                            unit, simulate_unit(unit), results, "serial"
-                        )
-            for unit in uncacheable:
-                record = record_point(simulate_unit(unit))
-                results[unit.key] = record
-                self.simulated += 1
-                self._count("jobs.simulated", unit.figure, mode="inline")
+            try:
+                if groups and self.options.jobs > 1:
+                    self._run_pool(groups, results)
+                else:
+                    for group in groups:
+                        for unit, raw in run_group(group, self.programs):
+                            self._finish(unit, raw, results, "serial")
+                for unit, raw in run_group(uncacheable, self.programs):
+                    results[unit.key] = record_point(raw)
+                    self.simulated += 1
+                    self._count(
+                        "jobs.simulated", unit.figure, mode="inline"
+                    )
+            finally:
+                # The last compile group is done with its program.
+                self.programs.release()
 
             if span:
                 after = self._totals()
@@ -218,14 +199,12 @@ class JobEngine:
             "resumed": self.resumed,
             "cache_hits": self.cache.hits if self.cache else 0,
             "cache_misses": self.cache.misses if self.cache else 0,
-            "compile_hits": self.programs.hits if self.programs else 0,
-            "compile_misses": self.programs.misses if self.programs else 0,
+            "compile_hits": self.programs.hits,
+            "compile_misses": self.programs.misses,
         }
 
     def close(self, success: bool = True) -> None:
-        """Flush the cache index; drop the ledger once the run landed."""
-        if self.cache is not None and self.cache.puts:
-            self.cache.write_index()
+        """Drop the ledger once the run landed (keep it for ``--resume``)."""
         if self.ledger is None:
             return
         if success:
@@ -290,17 +269,14 @@ class JobEngine:
 
     def _pool_pass(self, groups: list[list[WorkUnit]], results: dict) -> None:
         program_root = self.options.resolved_program_root()
-        with ProcessPoolExecutor(
-            max_workers=self.options.jobs,
-            initializer=initialize_worker if self.programs else None,
-            initargs=(
-                (str(program_root) if program_root else None,)
-                if self.programs
-                else ()
-            ),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=self.options.jobs) as pool:
             futures = [
-                (group, pool.submit(run_payload, group_payload(group)))
+                (
+                    group,
+                    pool.submit(
+                        run_payload, group_payload(group, program_root)
+                    ),
+                )
                 for group in groups
             ]
             timeout = self.options.timeout

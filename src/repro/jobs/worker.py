@@ -1,12 +1,15 @@
-"""Unit execution: the one function both serial and pooled paths share.
+"""Unit execution: the functions both inline and pooled paths share.
 
-:func:`simulate_unit` is the whole measurement — compile under the
-unit's verification mode, simulate the launch, reduce the event to the
-small JSON-safe record the cache/ledger stores.  The pool entry point
-:func:`run_payload` is a module-level function (picklable) that runs the
-units of one compile group, shipped in the payload dict
-:func:`group_payload` produced, in order, so the group compiles once per
-task.
+:func:`simulate_unit` is the whole measurement — simulate the launch of
+an already compiled program, reduce the event to the small JSON-safe
+record the cache/ledger stores.  :func:`run_group` runs one compile
+group: it asks a :class:`~repro.compiler.cache.CompileCache` for each
+unit's program and passes that program to the launch, so the group
+compiles (or loads) once.  The engine's inline loop calls it with
+``JobEngine.programs``; the pool entry point :func:`run_payload` is a
+module-level function (picklable) that calls it with a cache over the
+``ProgramStore`` root shipped in the payload dict :func:`group_payload`
+produced.
 
 The simulator is deterministic, so the record is bit-identical whether
 the unit runs inline, in a worker process, or is replayed from cache —
@@ -16,26 +19,38 @@ the property the determinism-guard test pins.
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.cal.device import Device
 from repro.cal.timing import time_kernel
 from repro.jobs.units import WorkUnit
 
+if TYPE_CHECKING:
+    from pathlib import Path
 
-def simulate_unit(unit: WorkUnit, device: Device | None = None) -> dict:
-    """Run one unit and return its record (see ``units.record_point``)."""
+    from repro.compiler.cache import CompileCache
+    from repro.isa.program import ISAProgram
+
+
+def simulate_unit(
+    unit: WorkUnit, program: "ISAProgram | None" = None
+) -> dict:
+    """Run one unit and return its record (see ``units.record_point``).
+
+    ``program`` is the unit's compiled program; without one the launch
+    compiles the kernel under the unit's verification mode.
+    """
     from repro.verify import verification
 
-    dev = device if device is not None else Device(unit.gpu)
     with verification(unit.verify):
         event = time_kernel(
-            dev,
+            Device(unit.gpu),
             unit.kernel,
             domain=unit.domain,
             block=unit.block,
             iterations=unit.iterations,
             sim=unit.sim,
+            program=program,
         )
     program = event.result.program
     return {
@@ -46,33 +61,33 @@ def simulate_unit(unit: WorkUnit, device: Device | None = None) -> dict:
     }
 
 
-def initialize_worker(program_root: str | None = None) -> None:
-    """Pool-worker startup: install a process-local compile cache.
+def run_group(
+    units: Iterable[WorkUnit], programs: "CompileCache"
+) -> Iterator[tuple[WorkUnit, dict]]:
+    """``(unit, record)`` in order, each as soon as it is simulated.
 
-    Each task is one compile group, so the cache compiles once per task
-    (the same kernel arriving as many launch shapes compiles once, not
-    once per unit); with a ``program_root`` the workers additionally
-    share compiled programs with each other — and with past runs —
-    through the on-disk store.
+    One ``get_or_compile`` per unit: the group's first unit compiles (or
+    loads from the store), the rest hit the cache's current program.
     """
-    from repro.compiler.cache import (
-        CompileCache,
-        ProgramStore,
-        install_cache,
-    )
-
-    store = ProgramStore(program_root) if program_root else None
-    install_cache(CompileCache(store))
+    for unit in units:
+        program = programs.get_or_compile(
+            unit.kernel, unit.gpu, verify=unit.verify
+        )
+        yield unit, simulate_unit(unit, program)
 
 
-def group_payload(units: Sequence[WorkUnit]) -> dict:
+def group_payload(
+    units: Sequence[WorkUnit], program_root: "str | Path | None"
+) -> dict:
     """The picklable shape of one compile group shipped to a worker.
 
     ``SimConfig.clause_stream`` is session wiring (callbacks into the
     parent's tracer) and cannot cross a process boundary; the scheduler
     refuses to parallelize units that carry one, so stripping it here is
     safe for the payloads that do get shipped.  The group's units share
-    one kernel object, which pickles once.
+    one kernel object, which pickles once.  ``program_root`` is the
+    on-disk program store the worker shares with the engine and with
+    other workers (``None``: the group compiles in the worker's memory).
     """
     return {
         "units": [
@@ -82,10 +97,15 @@ def group_payload(units: Sequence[WorkUnit]) -> dict:
                 unit, sim=dataclasses.replace(unit.sim, clause_stream=None)
             )
             for unit in units
-        ]
+        ],
+        "program_root": str(program_root) if program_root else None,
     }
 
 
 def run_payload(payload: dict) -> list[dict]:
     """Pool entry point: one group's payload in, its records out, in order."""
-    return [simulate_unit(unit) for unit in payload["units"]]
+    from repro.compiler.cache import CompileCache, ProgramStore
+
+    root = payload["program_root"]
+    programs = CompileCache(ProgramStore(root) if root else None)
+    return [raw for _, raw in run_group(payload["units"], programs)]

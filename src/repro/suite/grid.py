@@ -18,8 +18,6 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.knees import find_knee
 from repro.arch.specs import GPUSpec
-from repro.cal.device import Device
-from repro.cal.timing import time_kernel
 from repro.il.types import DataType, ShaderMode
 from repro.kernels import KernelParams, generate_generic
 from repro.sim.config import NAIVE_BLOCK, PAPER_ITERATIONS, SimConfig
@@ -118,60 +116,12 @@ def alu_fetch_grid(
 ) -> GridResult:
     """Run the ALU:Fetch sweep at several input sizes.
 
-    With an ``engine`` (:class:`repro.jobs.JobEngine`) every grid cell
-    becomes a content-addressed work unit — cached, resumable, and
-    parallelizable — with cell values identical to the serial loop.
+    Every grid cell is a content-addressed work unit run through the
+    ``engine`` (:class:`repro.jobs.JobEngine`) — cached, resumable and
+    parallel when the engine is configured so.  Without one, a default
+    engine (inline, no cache, no ledger) runs the grid.
     """
-    if engine is not None:
-        rows = _grid_rows_with_engine(
-            engine, gpu, inputs, ratios, dtype, mode, block, domain,
-            iterations, sim,
-        )
-    else:
-        device = Device(gpu)
-        rows = []
-        for n in inputs:
-            row = []
-            for ratio in ratios:
-                kernel = generate_generic(
-                    KernelParams(
-                        inputs=n, alu_fetch_ratio=ratio, dtype=dtype, mode=mode
-                    )
-                )
-                event = time_kernel(
-                    device,
-                    kernel,
-                    domain=domain,
-                    block=block,
-                    iterations=iterations,
-                    sim=sim,
-                )
-                row.append(event.seconds)
-            rows.append(tuple(row))
-    return GridResult(
-        gpu=gpu.chip,
-        dtype=dtype,
-        mode=mode,
-        inputs=tuple(inputs),
-        ratios=tuple(ratios),
-        seconds=tuple(rows),
-    )
-
-
-def _grid_rows_with_engine(
-    engine: "JobEngine",
-    gpu: GPUSpec,
-    inputs: tuple[int, ...],
-    ratios: tuple[float, ...],
-    dtype: DataType,
-    mode: ShaderMode,
-    block: tuple[int, int],
-    domain: tuple[int, int],
-    iterations: int,
-    sim: SimConfig | None,
-) -> list[tuple[float, ...]]:
-    """Decompose the grid into work units and reassemble the rows."""
-    from repro.jobs.units import WorkUnit
+    from repro.jobs import JobEngine, WorkUnit
     from repro.verify import default_verify
 
     units = []
@@ -193,17 +143,30 @@ def _grid_rows_with_engine(
                     block=block,
                     iterations=iterations,
                     sim=sim if sim is not None else SimConfig(),
-                    # The serial loop compiles under the ambient default;
-                    # resolve it now so workers match exactly.
+                    # Resolve the ambient verify default now so pool
+                    # workers compile exactly as this process would.
                     verify=default_verify(),
                 )
             )
-    records = engine.run(units)
+    if engine is None:
+        default = JobEngine()
+        records = default.run(units)
+        default.close()
+    else:
+        records = engine.run(units)
+    seconds = [record["seconds"] for record in records]
     width = len(ratios)
-    return [
-        tuple(record["seconds"] for record in records[i : i + width])
-        for i in range(0, len(records), width)
-    ]
+    return GridResult(
+        gpu=gpu.chip,
+        dtype=dtype,
+        mode=mode,
+        inputs=tuple(inputs),
+        ratios=tuple(ratios),
+        seconds=tuple(
+            tuple(seconds[i * width : (i + 1) * width])
+            for i in range(len(inputs))
+        ),
+    )
 
 
 def knees_by_input(grid: GridResult, tolerance: float = 0.05) -> dict[int, float | None]:

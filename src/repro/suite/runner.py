@@ -20,7 +20,7 @@ from repro.suite.results import ResultSet
 from repro.suite.write_latency import WriteLatencyBenchmark
 
 if TYPE_CHECKING:
-    from repro.jobs.scheduler import JobEngine, JobOptions
+    from repro.jobs.scheduler import JobEngine
 
 #: experiment id -> benchmark factory, one per paper figure (DESIGN.md §5).
 BENCHMARKS: dict[str, Callable[..., MicroBenchmark]] = {
@@ -69,7 +69,6 @@ def run_suite(
     out_dir: str | Path | None = None,
     telemetry_out: str | Path | None = None,
     engine: "JobEngine | None" = None,
-    options: "JobOptions | None" = None,
 ) -> dict[str, ResultSet]:
     """Run several figures; optionally persist each as JSON in ``out_dir``.
 
@@ -78,21 +77,15 @@ def run_suite(
     :class:`ResultSet` then carries the manifest path in its ``manifest``
     field (and its saved JSON), tying figure data to its provenance.
 
-    ``engine`` (or ``options``, from which an engine is built and closed
-    here) routes every figure through :mod:`repro.jobs`: one shared
+    ``engine`` routes every figure through :mod:`repro.jobs`: one shared
     result cache and run ledger across the whole suite, so identical
     launches appearing in several figures simulate exactly once and an
-    interrupted invocation resumes mid-suite.
+    interrupted invocation resumes mid-suite.  The caller owns the
+    engine and closes it (``JobEngine.close``).
     """
     names = list(figures) if figures is not None else sorted(BENCHMARKS)
     gpus = gpus if gpus is not None else all_gpus()
     results: dict[str, ResultSet] = {}
-
-    owned_engine = None
-    if engine is None and options is not None:
-        from repro.jobs import JobEngine
-
-        engine = owned_engine = JobEngine(options)
 
     recorder = (
         telemetry.recording(
@@ -104,22 +97,15 @@ def run_suite(
         if telemetry_out is not None
         else nullcontext()
     )
-    try:
-        with recorder:
-            for name in names:
-                results[name] = run_benchmark(
-                    name, gpus=gpus, fast=fast, engine=engine
-                )
-                if telemetry_out is not None:
-                    results[name].manifest = str(telemetry_out)
-                if out_dir is not None:
-                    directory = Path(out_dir)
-                    directory.mkdir(parents=True, exist_ok=True)
-                    results[name].save(directory / f"{name}.json")
-    except BaseException:
-        if owned_engine is not None:
-            owned_engine.close(success=False)
-        raise
-    if owned_engine is not None:
-        owned_engine.close(success=True)
+    with recorder:
+        for name in names:
+            results[name] = run_benchmark(
+                name, gpus=gpus, fast=fast, engine=engine
+            )
+            if telemetry_out is not None:
+                results[name].manifest = str(telemetry_out)
+            if out_dir is not None:
+                directory = Path(out_dir)
+                directory.mkdir(parents=True, exist_ok=True)
+                results[name].save(directory / f"{name}.json")
     return results

@@ -265,6 +265,41 @@ class TestJobsCommands:
         assert main(["cache", "stats", "--dir", str(cache_dir), "--json"]) == 0
         capsys.readouterr()
 
+    def test_cache_stats_need_no_index_snapshot(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        args = ["figure", "fig13", "--fast", "--cache-dir", str(cache_dir)]
+        assert main(args) == 0
+        assert not (cache_dir / "index.json").exists()
+        capsys.readouterr()
+        assert main(["cache", "stats", "--dir", str(cache_dir), "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["entries"] > 0 and stats["bytes"] > 0
+        assert stats["by_figure"] == {"fig13": stats["entries"]}
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--jobs", "-4"], "--jobs must be >= 0"),
+            (["--jobs", "2", "--unit-timeout", "0"], "must be > 0"),
+            (["--jobs", "2", "--unit-timeout", "-1"], "must be > 0"),
+            (["--unit-timeout", "5"], "add --jobs N with N > 1"),
+            (["--jobs", "1", "--unit-timeout", "5"], "add --jobs N with N > 1"),
+        ],
+    )
+    def test_ineffective_jobs_flags_are_usage_errors(
+        self, flags, message, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig13", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and message in err
+
+    def test_unit_timeout_with_a_pool_is_accepted(self, capsys):
+        assert main(
+            ["figure", "fig15b", "--fast", "--jobs", "2", "--unit-timeout", "60"]
+        ) == 0
+
     def test_cache_gc_reports_removals(self, tmp_path, capsys):
         assert main(["cache", "gc", "--dir", str(tmp_path / "empty")]) == 0
         assert "removed 0 stale entries" in capsys.readouterr().out

@@ -1,31 +1,30 @@
 """The content-addressed compiled-program cache (repro.compiler.cache).
 
 Covers the key's invalidation surface, both tiers (the current program
-in memory and the on-disk store), the scoped install used by the jobs
-engine, the compile-once guarantee for kernel-sharing sweeps, the
-verification memo, and the CLI surface that reports and maintains the
-store.
+in memory and the on-disk store), how the jobs engine hands its programs
+to launches (inline and in the pool), the compile-once guarantee for
+kernel-sharing sweeps, the verification memo, and the CLI surface that
+reports and maintains the store.
 """
 
 import json
+
+import pytest
 
 from repro import telemetry
 from repro.arch import RV670, RV770, RV870
 from repro.cli import main
 from repro.compiler import CompileOptions, compile_kernel
 from repro.compiler import cache as cache_mod
-from repro.compiler.cache import (
-    CompileCache,
-    ProgramStore,
-    active_cache,
-    compile_cache_key,
-    compile_cache_scope,
-)
+from repro.compiler.cache import CompileCache, ProgramStore, compile_cache_key
 from repro.il.text import cached_il_text
-from repro.jobs import JobEngine, JobOptions
+from repro.jobs import JobEngine, JobOptions, WorkUnit
 from repro.kernels import KernelParams, generate_generic
+from repro.sim.config import SimConfig
 from repro.suite import BENCHMARKS, run_benchmark
 from repro.verify.engine import clear_verify_memo
+
+from tests.helpers import planned_programs
 
 
 def kernel_n(alu_ops=8):
@@ -119,13 +118,26 @@ class TestMemoryTier:
         cache.get_or_compile(kernels[0], RV770)
         assert cache.misses == 5
 
-    def test_scope_exit_releases_the_program(self):
-        cache = CompileCache()
+    def test_engine_run_releases_the_program(self):
         kernel = kernel_n()
-        with compile_cache_scope(cache):
-            cache.get_or_compile(kernel, RV770)
-        cache.get_or_compile(kernel, RV770)
-        assert cache.misses == 2
+        unit = WorkUnit(
+            figure="test",
+            series="s",
+            value=1.0,
+            kernel=kernel,
+            gpu=RV770,
+            domain=(128, 128),
+            block=(64, 1),
+            iterations=10,
+            sim=SimConfig(),
+            verify=False,
+        )
+        engine = JobEngine()
+        engine.run([unit])
+        assert engine.programs.misses == 1
+        # The run is over, so its last program is no longer held.
+        engine.programs.get_or_compile(kernel, RV770, verify=False)
+        assert engine.programs.misses == 2
 
 
 class TestDiskTier:
@@ -179,29 +191,40 @@ class TestDiskTier:
         assert reader.misses == 1
 
 
-class TestScopedInstall:
-    def test_no_ambient_cache_by_default(self):
-        assert active_cache() is None
+POOL_FIGURE = "fig14"
 
-    def test_scope_installs_and_restores(self):
-        cache = CompileCache()
-        with compile_cache_scope(cache) as installed:
-            assert installed is cache
-            assert active_cache() is cache
-            inner = CompileCache()
-            with compile_cache_scope(inner):
-                assert active_cache() is inner
-            assert active_cache() is cache
-        assert active_cache() is None
 
-    def test_plain_compile_kernel_stays_uncached(self):
-        # compile_kernel itself never consults the ambient cache — only
-        # Context.load_module does.
-        cache = CompileCache()
-        with compile_cache_scope(cache):
-            compile_kernel(kernel_n(), RV770)
-        assert cache.misses == 0
-        assert cache.hits == 0
+@pytest.fixture(scope="module")
+def pooled_store(tmp_path_factory):
+    """A ``jobs=2`` fast run of one figure over an empty cache dir."""
+    cache_dir = tmp_path_factory.mktemp("pooled") / "cache"
+    engine = JobEngine(JobOptions(jobs=2, cache_dir=cache_dir))
+    result = run_benchmark(POOL_FIGURE, fast=True, engine=engine)
+    engine.close(success=True)
+    return cache_dir, result
+
+
+class TestProgramPassing:
+    def test_pool_stores_one_program_per_distinct_pair(self, pooled_store):
+        cache_dir, pooled = pooled_store
+        programs, _points = planned_programs(POOL_FIGURE)
+        entries, _bytes, stale = ProgramStore(cache_dir).scan()
+        assert (entries, stale) == (programs, 0)
+        serial = run_benchmark(POOL_FIGURE, fast=True)
+        assert pooled.to_csv() == serial.to_csv()
+
+    def test_inline_run_over_the_store_compiles_nothing(self, pooled_store):
+        cache_dir, pooled = pooled_store
+        # No result cache: every unit simulates, and every program
+        # comes from the store the pool filled.
+        engine = JobEngine(JobOptions(program_cache_dir=cache_dir))
+        with telemetry.recording() as tracer:
+            inline = run_benchmark(POOL_FIGURE, fast=True, engine=engine)
+        engine.close(success=True)
+        assert engine.programs.misses == 0
+        assert engine.programs.disk_hits == planned_programs(POOL_FIGURE)[0]
+        assert not any(s.name == "compile" for s in tracer.finished())
+        assert inline.to_csv() == pooled.to_csv()
 
 
 class TestTelemetryCounters:

@@ -61,6 +61,8 @@ class TestGridStructure:
         assert back.ratios == ratios
 
     def test_engine_grid_matches_serial(self, float_grid, tmp_path):
+        # The default grid runs inline through a cacheless engine; a
+        # cached engine must give the same cells.
         from repro.jobs import JobEngine, JobOptions
 
         engine = JobEngine(

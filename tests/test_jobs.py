@@ -366,8 +366,8 @@ class TestPoolCrashRetry:
         monkeypatch.setattr(sched_mod, "run_payload", _crash_once_then_run)
         original_payload = sched_mod.group_payload
 
-        def payload_with_sentinel(units):
-            payload = original_payload(units)
+        def payload_with_sentinel(units, program_root):
+            payload = original_payload(units, program_root)
             payload["_sentinel"] = str(sentinel)
             return payload
 
