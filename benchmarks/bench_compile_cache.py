@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.arch import RV770
-from repro.jobs import JobEngine, JobOptions
+from repro.jobs import JobEngine, JobOptions, ResultCache
 from repro.suite import run_benchmark
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -37,19 +37,18 @@ RESULTS_DIR = Path(__file__).parent / "results"
 WARM_SPEEDUP_FLOOR = float(os.environ.get("REPRO_COMPILE_CACHE_FLOOR", "3.0"))
 
 
-def _timed_run(figure: str, store: Path, ledger: Path):
-    """One engine run against ``store`` with the result cache off.
+def _timed_run(figure: str, store: Path):
+    """One engine run against ``store`` with its cached results cleared.
 
     Only compiled programs persist — a warm run still simulates every
     point, so the measured gap is purely the compile path.
     """
-    engine = JobEngine(
-        JobOptions(program_cache_dir=store, ledger_path=ledger)
-    )
+    ResultCache(store).clear()
+    engine = JobEngine(JobOptions(cache_dir=store))
     t0 = time.perf_counter()
     result = run_benchmark(figure, fast=True, engine=engine)
     seconds = time.perf_counter() - t0
-    engine.close(success=True)
+    assert engine.cache.hits == 0  # every point simulated
     return result, seconds, engine
 
 
@@ -64,25 +63,13 @@ def test_warm_compile_cache_speedup(tmp_path):
     # the warm rounds then share the first store.  min-of-N on both sides
     # keeps shared-runner noise from deciding the comparison.
     cold_result, cold_seconds, cold_engine = _best_of(
-        [
-            _timed_run(
-                "fig16",
-                tmp_path / f"store-{i}",
-                tmp_path / f"cold-{i}.jsonl",
-            )
-            for i in range(2)
-        ]
+        [_timed_run("fig16", tmp_path / f"store-{i}") for i in range(2)]
     )
     assert cold_engine.programs.misses > 0
     assert cold_engine.programs.serialized == cold_engine.programs.misses
 
     warm_result, warm_seconds, warm_engine = _best_of(
-        [
-            _timed_run(
-                "fig16", tmp_path / "store-0", tmp_path / f"warm-{i}.jsonl"
-            )
-            for i in range(3)
-        ]
+        [_timed_run("fig16", tmp_path / "store-0") for _ in range(3)]
     )
     assert warm_engine.programs.misses == 0  # every compile served
     assert warm_engine.programs.hits > 0
@@ -117,13 +104,12 @@ def test_warm_compile_cache_speedup(tmp_path):
     assert speedup >= WARM_SPEEDUP_FLOOR
 
 
-def test_domain_sweep_compiles_exactly_once(tmp_path):
+def test_domain_sweep_compiles_exactly_once():
     # Figure 15 is one kernel x many launch shapes; compile-once planning
     # means the whole sweep costs a single compile.
-    engine = JobEngine(JobOptions(ledger_path=tmp_path / "ledger.jsonl"))
+    engine = JobEngine()
     with telemetry.recording() as tracer:
         result = run_benchmark("fig15a", gpus=(RV770,), fast=True, engine=engine)
-    engine.close(success=True)
 
     compiles = sum(1 for s in tracer.finished() if s.name == "compile")
     points = sum(len(series.points) for series in result.series)

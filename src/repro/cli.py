@@ -22,16 +22,16 @@ FILE`` to record the run — spans, metrics, config hash, git SHA — as a
 JSONL manifest (see docs/telemetry.md).
 
 ``figure``, ``suite`` and ``grid`` accept ``--jobs N`` (parallel
-workers), ``--cache`` (content-addressed result reuse under
-``results/cache/``) and ``--resume`` (continue an interrupted run from
-its ledger) — see docs/jobs.md.
+workers) and ``--cache`` (content-addressed result reuse under
+``results/cache/``; rerunning an interrupted run with the same flags
+continues it) — see docs/jobs.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro import telemetry
@@ -155,11 +155,6 @@ def _add_jobs_arguments(parser: argparse.ArgumentParser) -> None:
         help="cache root (implies --cache; default results/cache)",
     )
     jobs.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue an interrupted run from its ledger",
-    )
-    jobs.add_argument(
         "--unit-timeout",
         type=float,
         default=None,
@@ -193,7 +188,7 @@ def _engine_from_args(args: argparse.Namespace):
     from repro.jobs import DEFAULT_CACHE_DIR, JobEngine, JobOptions
 
     wants_cache = args.cache or args.cache_dir is not None
-    if not (args.jobs > 1 or wants_cache or args.resume):
+    if not (args.jobs > 1 or wants_cache):
         return None
     cache_dir = None
     if wants_cache:
@@ -202,26 +197,9 @@ def _engine_from_args(args: argparse.Namespace):
         JobOptions(
             jobs=args.jobs,
             cache_dir=cache_dir,
-            resume=args.resume,
             timeout=args.unit_timeout,
         )
     )
-
-
-@contextmanager
-def _engine_scope(args: argparse.Namespace):
-    """Build the engine (or None) and close it with the right outcome:
-    a clean exit drops the run ledger, an exception preserves it so the
-    next ``--resume`` picks up where this run died."""
-    engine = _engine_from_args(args)
-    try:
-        yield engine
-    except BaseException:
-        if engine is not None:
-            engine.close(success=False)
-        raise
-    if engine is not None:
-        engine.close(success=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,8 +465,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "figure":
-        with _engine_scope(args) as engine:
-            result = run_benchmark(args.id, fast=not args.full, engine=engine)
+        result = run_benchmark(
+            args.id, fast=not args.full, engine=_engine_from_args(args)
+        )
         if args.telemetry:
             result.manifest = args.telemetry
         print(result.format_table())
@@ -506,10 +485,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         # The run is already being recorded at main() level when
         # --telemetry is set, so only stamp + save here (run_suite's own
         # telemetry_out would open a second, nested recording).
-        with _engine_scope(args) as engine:
-            results = run_suite(
-                figures=args.figures, fast=not args.full, engine=engine
-            )
+        results = run_suite(
+            figures=args.figures,
+            fast=not args.full,
+            engine=_engine_from_args(args),
+        )
         for result in results.values():
             if args.telemetry:
                 result.manifest = args.telemetry
@@ -527,17 +507,16 @@ def _dispatch(args: argparse.Namespace) -> int:
         ratios = tuple(
             round(args.ratio_step * k, 10) for k in range(1, steps + 1)
         )
-        with _engine_scope(args) as engine:
-            grid = alu_fetch_grid(
-                open_device(args.gpu).spec,
-                inputs=tuple(args.inputs),
-                ratios=ratios,
-                dtype=DataType.from_name(args.dtype),
-                mode=ShaderMode.from_name(args.mode),
-                domain=tuple(args.domain),
-                iterations=args.iterations,
-                engine=engine,
-            )
+        grid = alu_fetch_grid(
+            open_device(args.gpu).spec,
+            inputs=tuple(args.inputs),
+            ratios=ratios,
+            dtype=DataType.from_name(args.dtype),
+            mode=ShaderMode.from_name(args.mode),
+            domain=tuple(args.domain),
+            iterations=args.iterations,
+            engine=_engine_from_args(args),
+        )
         print(grid.to_csv(), end="")
         knees = knees_by_input(grid)
         print()

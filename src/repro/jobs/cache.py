@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.jobs.blobstore import BlobStore
-from repro.jobs.units import CODE_VERSION
+from repro.jobs.units import CODE_VERSION, record_point
 
 #: default cache root, relative to the working directory.
 DEFAULT_CACHE_DIR = Path("results") / "cache"
@@ -70,14 +70,15 @@ class ResultCache(BlobStore):
 
     # ---- core API --------------------------------------------------------
     def get(self, key: str) -> dict | None:
-        """The cached record for ``key``, or ``None`` (counted as a miss).
+        """The cached record for ``key`` (validated by
+        :func:`~repro.jobs.units.record_point`), or ``None`` (a miss).
 
-        A corrupt blob reads as a miss: the unit re-simulates and the
-        fresh ``put`` repairs the entry.
+        A corrupt blob or a malformed record reads as a miss: the unit
+        re-simulates and the fresh ``put`` repairs the entry.
         """
-        blob = self.read(key)
-        record = blob.get("record") if blob is not None else None
-        if record is None:
+        try:
+            record = record_point((self.read(key) or {})["record"])
+        except (KeyError, TypeError, ValueError):
             self.misses += 1
             return None
         self.hits += 1

@@ -4,12 +4,13 @@
 .WorkUnit` and returns their records *in submission order*, regardless of
 completion order — callers rebuild ``ResultSet``/``GridResult`` shapes
 that are bit-identical to a serial run.  Between planning and execution
-it consults, in priority order:
+it consults:
 
-1. the **run ledger** — units a killed previous attempt already finished
-   (``resume=True``),
-2. the **result cache** — content-addressed records from any earlier run,
-3. the **scheduler** — everything still pending, deduplicated by cache
+1. the **result cache** — content-addressed records from any earlier
+   run, including a killed one: every unit is stored the moment it
+   finishes, so rerunning an interrupted run over the same cache dir
+   continues where it stopped,
+2. the **scheduler** — everything still pending, deduplicated by cache
    key (identical launches shared between figures simulate once) and
    ordered by compile group (:func:`compile_groups`), run either inline
    (``jobs <= 1``, the deterministic default) or across a
@@ -25,8 +26,7 @@ unit's program and passes it to the launch.
 Telemetry (when enabled) gets a ``scheduler`` span per ``run()`` call
 carrying that call's own counts, a ``unit`` span per unit with its
 resolution source, and the ``jobs.cache.hit`` / ``jobs.cache.miss`` /
-``jobs.resumed`` / ``jobs.simulated`` counters documented in
-docs/telemetry.md.
+``jobs.simulated`` counters documented in docs/telemetry.md.
 """
 
 from __future__ import annotations
@@ -40,8 +40,7 @@ from typing import Sequence
 
 from repro import telemetry
 from repro.compiler.pipeline import CompileOptions
-from repro.jobs.cache import DEFAULT_CACHE_DIR, ResultCache
-from repro.jobs.ledger import RunLedger
+from repro.jobs.cache import ResultCache
 from repro.jobs.units import WorkUnit, record_point
 from repro.jobs.worker import group_payload, run_group, run_payload
 
@@ -61,44 +60,13 @@ class JobOptions:
     #: worker processes; 0 or 1 runs inline for strict determinism of
     #: telemetry and exception timing (results are identical either way).
     jobs: int = 0
-    #: result-cache root; ``None`` disables the cache entirely.
+    #: cache root for results and compiled programs (they share it);
+    #: ``None`` keeps nothing on disk.
     cache_dir: str | Path | None = None
-    #: preload the run ledger from a previous (killed) attempt.
-    resume: bool = False
-    #: explicit ledger path; defaults to ``<cache root>/ledger.jsonl``
-    #: when a cache dir is set or ``resume`` is asked for, and otherwise
-    #: to no ledger at all.
-    ledger_path: str | Path | None = None
     #: per-unit timeout in seconds for the pool; a pool task (one compile
     #: group of n units) gets n times this, measured from when the
     #: scheduler starts waiting on it (``None`` waits forever).
     timeout: float | None = None
-    #: on-disk compiled-program store root; defaults to the result-cache
-    #: root (the two tiers share ``results/cache/``), ``None`` with no
-    #: cache_dir keeps compiled programs in memory only.
-    program_cache_dir: str | Path | None = None
-
-    def resolved_ledger_path(self) -> Path | None:
-        """Where the run ledger lives (``None`` = keep no ledger).
-
-        A run with no cache dir, ledger path or ``resume`` keeps none, so
-        it never truncates another run's resumable ledger.
-        """
-        if self.ledger_path is not None:
-            return Path(self.ledger_path)
-        if self.cache_dir is not None:
-            return Path(self.cache_dir) / "ledger.jsonl"
-        if self.resume:
-            return DEFAULT_CACHE_DIR / "ledger.jsonl"
-        return None
-
-    def resolved_program_root(self) -> Path | None:
-        """Where compiled programs persist (``None`` = memory tier only)."""
-        if self.program_cache_dir is not None:
-            return Path(self.program_cache_dir)
-        if self.cache_dir is not None:
-            return Path(self.cache_dir)
-        return None
 
 
 class JobEngine:
@@ -108,29 +76,14 @@ class JobEngine:
         from repro.compiler.cache import CompileCache, ProgramStore
 
         self.options = options or JobOptions()
-        self.cache = (
-            ResultCache(self.options.cache_dir)
-            if self.options.cache_dir is not None
-            else None
-        )
-        program_root = self.options.resolved_program_root()
+        root = self.options.cache_dir
+        self.cache = ResultCache(root) if root is not None else None
         #: compiles each distinct (IL, options) once per compile group
         #: (docs/compile-cache.md).
         self.programs = CompileCache(
-            ProgramStore(program_root) if program_root else None
+            ProgramStore(root) if root is not None else None
         )
-        ledger_path = self.options.resolved_ledger_path()
-        self.ledger = RunLedger(ledger_path) if ledger_path else None
-        self.resumed = 0
         self.simulated = 0
-        self._resumed_records: dict[str, dict] = {}
-        if self.ledger is not None and self.options.resume:
-            self._resumed_records = self.ledger.load()
-            if not self._resumed_records and self.ledger.path.exists():
-                # Stale salt or empty file: start over with a fresh header.
-                self.ledger.discard()
-        elif self.ledger is not None:
-            self.ledger.discard()
 
     # ---- execution -------------------------------------------------------
     def run(self, units: Sequence[WorkUnit]) -> list[dict]:
@@ -145,7 +98,6 @@ class JobEngine:
             "scheduler",
             jobs=self.options.jobs,
             units=len(units),
-            resume=self.options.resume,
             cache=self.cache is not None,
         ) as span:
             for unit in units:
@@ -196,7 +148,6 @@ class JobEngine:
         """Engine-lifetime counts, differenced per ``run()`` for its span."""
         return {
             "simulated": self.simulated,
-            "resumed": self.resumed,
             "cache_hits": self.cache.hits if self.cache else 0,
             "cache_misses": self.cache.misses if self.cache else 0,
             "compile_hits": self.programs.hits,
@@ -204,32 +155,21 @@ class JobEngine:
         }
 
     def close(self, success: bool = True) -> None:
-        """Drop the ledger once the run landed (keep it for ``--resume``)."""
-        if self.ledger is None:
-            return
-        if success:
-            self.ledger.discard()
-        else:
-            self.ledger.close()
+        """End the run.  Nothing is left to flush: every finished unit is
+        already in the result cache, and ``run()`` releases the last
+        compiled program.  ``success`` is accepted for callers that report
+        the run's outcome; it changes nothing."""
 
     # ---- resolution ------------------------------------------------------
     def _replay(self, unit: WorkUnit) -> dict | None:
-        """A previously computed record (ledger, then cache), if any."""
-        record = self._resumed_records.get(unit.key)
-        if record is not None:
-            self.resumed += 1
-            self._count("jobs.resumed", unit.figure)
-            self._unit_span(unit, "resumed")
-            if self.cache is not None and self.cache.get(unit.key) is None:
-                self.cache.put(unit.key, record, figure=unit.figure)
-            return record
+        """The unit's record from the result cache, if it holds one."""
         if self.cache is None:
             return None
         record = self.cache.get(unit.key)
         if record is not None:
             self._count("jobs.cache.hit", unit.figure)
             self._unit_span(unit, "hit")
-            return record_point(record)
+            return record
         self._count("jobs.cache.miss", unit.figure)
         return None
 
@@ -241,8 +181,6 @@ class JobEngine:
         self.simulated += 1
         if self.cache is not None:
             self.cache.put(unit.key, record, figure=unit.figure)
-        if self.ledger is not None:
-            self.ledger.append(unit.key, record)
         self._count("jobs.simulated", unit.figure, mode=mode)
         self._unit_span(unit, mode, seconds=record["seconds"])
 
@@ -262,21 +200,15 @@ class JobEngine:
                 if attempt or not remaining:
                     units = sum(len(group) for group in remaining)
                     raise JobError(
-                        f"worker pool crashed twice; {units} "
-                        "units unfinished (see the run ledger)"
+                        f"worker pool crashed twice; {units} units unfinished"
                     ) from None
                 self._count("jobs.pool_retries", remaining[0][0].figure)
 
     def _pool_pass(self, groups: list[list[WorkUnit]], results: dict) -> None:
-        program_root = self.options.resolved_program_root()
+        root = self.options.cache_dir
         with ProcessPoolExecutor(max_workers=self.options.jobs) as pool:
             futures = [
-                (
-                    group,
-                    pool.submit(
-                        run_payload, group_payload(group, program_root)
-                    ),
-                )
+                (group, pool.submit(run_payload, group_payload(group, root)))
                 for group in groups
             ]
             timeout = self.options.timeout

@@ -101,7 +101,7 @@ def cache_key(unit: WorkUnit) -> str:
 
 
 def record_point(record: dict) -> dict:
-    """Validate and normalize a unit record (the cached/ledgered value).
+    """Validate and normalize a unit record (the cached value).
 
     A record is the minimal payload a :class:`repro.suite.results
     .SeriesPoint` needs beyond the sweep value itself.  JSON round-trips

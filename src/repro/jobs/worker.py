@@ -2,7 +2,7 @@
 
 :func:`simulate_unit` is the whole measurement — simulate the launch of
 an already compiled program, reduce the event to the small JSON-safe
-record the cache/ledger stores.  :func:`run_group` runs one compile
+record the result cache stores.  :func:`run_group` runs one compile
 group: it asks a :class:`~repro.compiler.cache.CompileCache` for each
 unit's program and passes that program to the launch, so the group
 compiles (or loads) once.  The engine's inline loop calls it with
@@ -18,7 +18,6 @@ the property the determinism-guard test pins.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from repro.cal.device import Device
@@ -81,23 +80,13 @@ def group_payload(
 ) -> dict:
     """The picklable shape of one compile group shipped to a worker.
 
-    ``SimConfig.clause_stream`` is session wiring (callbacks into the
-    parent's tracer) and cannot cross a process boundary; the scheduler
-    refuses to parallelize units that carry one, so stripping it here is
-    safe for the payloads that do get shipped.  The group's units share
-    one kernel object, which pickles once.  ``program_root`` is the
-    on-disk program store the worker shares with the engine and with
-    other workers (``None``: the group compiles in the worker's memory).
+    The group's units share one kernel object, which pickles once.
+    ``program_root`` is the on-disk program store the worker shares with
+    the engine and with other workers (``None``: the group compiles in
+    the worker's memory).
     """
     return {
-        "units": [
-            unit
-            if unit.sim.clause_stream is None
-            else dataclasses.replace(
-                unit, sim=dataclasses.replace(unit.sim, clause_stream=None)
-            )
-            for unit in units
-        ],
+        "units": list(units),
         "program_root": str(program_root) if program_root else None,
     }
 

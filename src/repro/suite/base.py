@@ -181,7 +181,7 @@ class MicroBenchmark(abc.ABC):
         on its first point, and every point still builds its own kernel
         and lands in its own series slot.  With an ``engine``
         (:class:`repro.jobs.JobEngine`) the sweep is decomposed into work
-        units and executed through the cache/ledger/scheduler pipeline,
+        units and executed through the result-cache/scheduler pipeline,
         which orders pending units the same way.  Both paths give
         bit-identical figures.
         """

@@ -119,7 +119,7 @@ def alu_fetch_grid(
     Every grid cell is a content-addressed work unit run through the
     ``engine`` (:class:`repro.jobs.JobEngine`) — cached, resumable and
     parallel when the engine is configured so.  Without one, a default
-    engine (inline, no cache, no ledger) runs the grid.
+    engine (inline, no cache) runs the grid.
     """
     from repro.jobs import JobEngine, WorkUnit
     from repro.verify import default_verify
@@ -148,12 +148,7 @@ def alu_fetch_grid(
                     verify=default_verify(),
                 )
             )
-    if engine is None:
-        default = JobEngine()
-        records = default.run(units)
-        default.close()
-    else:
-        records = engine.run(units)
+    records = (engine or JobEngine()).run(units)
     seconds = [record["seconds"] for record in records]
     width = len(ratios)
     return GridResult(

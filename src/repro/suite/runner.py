@@ -78,10 +78,10 @@ def run_suite(
     field (and its saved JSON), tying figure data to its provenance.
 
     ``engine`` routes every figure through :mod:`repro.jobs`: one shared
-    result cache and run ledger across the whole suite, so identical
-    launches appearing in several figures simulate exactly once and an
-    interrupted invocation resumes mid-suite.  The caller owns the
-    engine and closes it (``JobEngine.close``).
+    result cache across the whole suite, so identical launches appearing
+    in several figures simulate exactly once, and rerunning an
+    interrupted invocation over the same cache dir replays every unit it
+    finished.  The caller owns the engine.
     """
     names = list(figures) if figures is not None else sorted(BENCHMARKS)
     gpus = gpus if gpus is not None else all_gpus()

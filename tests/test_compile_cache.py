@@ -18,7 +18,7 @@ from repro.compiler import CompileOptions, compile_kernel
 from repro.compiler import cache as cache_mod
 from repro.compiler.cache import CompileCache, ProgramStore, compile_cache_key
 from repro.il.text import cached_il_text
-from repro.jobs import JobEngine, JobOptions, WorkUnit
+from repro.jobs import JobEngine, JobOptions, ResultCache, WorkUnit
 from repro.kernels import KernelParams, generate_generic
 from repro.sim.config import SimConfig
 from repro.suite import BENCHMARKS, run_benchmark
@@ -200,7 +200,6 @@ def pooled_store(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("pooled") / "cache"
     engine = JobEngine(JobOptions(jobs=2, cache_dir=cache_dir))
     result = run_benchmark(POOL_FIGURE, fast=True, engine=engine)
-    engine.close(success=True)
     return cache_dir, result
 
 
@@ -215,12 +214,14 @@ class TestProgramPassing:
 
     def test_inline_run_over_the_store_compiles_nothing(self, pooled_store):
         cache_dir, pooled = pooled_store
-        # No result cache: every unit simulates, and every program
+        # No cached results: every unit simulates, and every program
         # comes from the store the pool filled.
-        engine = JobEngine(JobOptions(program_cache_dir=cache_dir))
+        ResultCache(cache_dir).clear()
+        engine = JobEngine(JobOptions(cache_dir=cache_dir))
         with telemetry.recording() as tracer:
             inline = run_benchmark(POOL_FIGURE, fast=True, engine=engine)
-        engine.close(success=True)
+        assert engine.cache.hits == 0
+        assert engine.simulated == engine.cache.misses > 0
         assert engine.programs.misses == 0
         assert engine.programs.disk_hits == planned_programs(POOL_FIGURE)[0]
         assert not any(s.name == "compile" for s in tracer.finished())
@@ -273,13 +274,12 @@ class TestSweepPlanning:
         distinct_kernels = {id(k) for _, _, k, _ in planned}
         assert len(distinct_kernels) == len(by_key)
 
-    def test_engine_domain_sweep_compiles_exactly_once(self, tmp_path):
-        engine = JobEngine(JobOptions(ledger_path=tmp_path / "ledger.jsonl"))
+    def test_engine_domain_sweep_compiles_exactly_once(self):
+        engine = JobEngine()
         with telemetry.recording() as tracer:
             result = run_benchmark(
                 "fig15a", gpus=(RV770,), fast=True, engine=engine
             )
-        engine.close(success=True)
         compiles = sum(1 for s in tracer.finished() if s.name == "compile")
         points = sum(len(series.points) for series in result.series)
         assert points > 1
@@ -288,24 +288,27 @@ class TestSweepPlanning:
         assert engine.programs.memory_hits == points - 1
 
     def test_warm_and_cold_engine_runs_are_byte_identical(self, tmp_path):
-        def run(ledger):
-            engine = JobEngine(
-                JobOptions(
-                    program_cache_dir=tmp_path / "store",
-                    ledger_path=tmp_path / ledger,
+        def run():
+            # Keep the compiled programs, drop the results: every unit
+            # of each run simulates.
+            ResultCache(tmp_path).clear()
+            engine = JobEngine(JobOptions(cache_dir=tmp_path))
+            with telemetry.recording() as tracer:
+                result = run_benchmark(
+                    "fig15a", gpus=(RV770,), fast=True, engine=engine
                 )
-            )
-            result = run_benchmark(
-                "fig15a", gpus=(RV770,), fast=True, engine=engine
-            )
-            engine.close(success=True)
-            return result, engine
+            points = sum(len(series.points) for series in result.series)
+            assert engine.simulated == engine.cache.misses == points
+            compiles = sum(s.name == "compile" for s in tracer.finished())
+            return result, engine, compiles
 
-        cold, cold_engine = run("cold.jsonl")
+        cold, cold_engine, cold_compiles = run()
         assert cold_engine.programs.serialized == cold_engine.programs.misses
-        warm, warm_engine = run("warm.jsonl")
+        assert cold_compiles == 1
+        warm, warm_engine, warm_compiles = run()
         assert warm_engine.programs.misses == 0
         assert warm_engine.programs.disk_hits > 0
+        assert warm_compiles == 0
         assert warm.to_csv() == cold.to_csv()
         assert warm.to_json() == cold.to_json()
 

@@ -34,8 +34,6 @@ def _run_fast_suite(engine=None):
             result = run_benchmark(figure, fast=True, engine=engine)
         compiles = sum(1 for s in tracer.finished() if s.name == "compile")
         runs[figure] = (result.to_csv(), compiles)
-    if engine is not None:
-        engine.close(success=True)
     return runs
 
 
@@ -81,7 +79,6 @@ def test_serial_inline_and_pool_csvs_are_byte_identical(
         figure: run_benchmark(figure, fast=True, engine=pooled).to_csv()
         for figure in FIGURES
     }
-    pooled.close(success=True)
     for figure in FIGURES:
         serial_csv = serial_runs[figure][0]
         assert inline_runs[figure][0] == serial_csv, figure

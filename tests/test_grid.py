@@ -65,12 +65,7 @@ class TestGridStructure:
         # cached engine must give the same cells.
         from repro.jobs import JobEngine, JobOptions
 
-        engine = JobEngine(
-            JobOptions(
-                cache_dir=tmp_path / "cache",
-                ledger_path=tmp_path / "ledger.jsonl",
-            )
-        )
+        engine = JobEngine(JobOptions(cache_dir=tmp_path / "cache"))
         through_engine = alu_fetch_grid(
             RV770,
             inputs=(4, 8, 16),
@@ -78,7 +73,6 @@ class TestGridStructure:
             dtype=DataType.FLOAT,
             engine=engine,
         )
-        engine.close()
         assert through_engine == float_grid
 
     def test_times_scale_with_inputs_in_fetch_region(self, float_grid):

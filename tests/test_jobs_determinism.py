@@ -27,12 +27,10 @@ class TestFigureDeterminism:
 
         cold_engine = JobEngine(JobOptions(jobs=4, cache_dir=cache_dir))
         pooled = run_benchmark("fig7", fast=True, engine=cold_engine)
-        cold_engine.close()
         assert cold_engine.simulated > 0  # really went through the pool
 
         warm_engine = JobEngine(JobOptions(jobs=4, cache_dir=cache_dir))
         cached = run_benchmark("fig7", fast=True, engine=warm_engine)
-        warm_engine.close()
         assert warm_engine.simulated == 0  # fully served from cache
         assert warm_engine.cache.hits > 0
 
@@ -40,10 +38,6 @@ class TestFigureDeterminism:
         assert pooled.to_json() == serial_json
         assert cached.to_json() == serial_json
 
-    def test_serial_engine_matches_legacy_loop(self, serial_fig7, tmp_path):
-        engine = JobEngine(
-            JobOptions(jobs=0, ledger_path=tmp_path / "ledger.jsonl")
-        )
-        result = run_benchmark("fig7", fast=True, engine=engine)
-        engine.close()
+    def test_serial_engine_matches_legacy_loop(self, serial_fig7):
+        result = run_benchmark("fig7", fast=True, engine=JobEngine())
         assert result.to_json() == serial_fig7.to_json()
