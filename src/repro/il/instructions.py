@@ -4,6 +4,12 @@ IL programs are in (infinite) virtual-register form: ``r0, r1, ...``.  The
 CAL-compiler stand-in (:mod:`repro.compiler`) later maps virtual registers
 onto the finite general-purpose register file, clause temporaries and the
 ``PV``/``PS`` previous-result registers described in §II-A of the paper.
+
+Registers are interned: there is exactly one :class:`Register` object per
+``(file, index)`` in a process, so equality and hashing are object
+identity (both implemented in C).  Unpickling, ``copy``/``deepcopy`` and
+``dataclasses.replace`` all go back through the constructor and return
+the interned object.
 """
 
 from __future__ import annotations
@@ -25,26 +31,47 @@ class RegisterFile(enum.Enum):
     OUTPUT = "o"  #: pixel-shader output (color buffer)
 
 
-# Registers are dict/set keys on every verifier and compiler hot path,
-# and their rendered names appear once per instruction in emitted IL.
+# Rendered register names appear once per instruction in emitted IL.
 # Enum attribute access goes through Python-level descriptors, so each
-# member gets a plain-int ordinal and a precomputed name prefix here.
-for _ordinal, _member in enumerate(RegisterFile):
-    _member._code = _ordinal
+# member gets a precomputed name prefix here.
+for _member in RegisterFile:
     _member._prefix = _member.value
 
 
-@dataclass(frozen=True)
+#: the one Register object per (file, index); see Register.__new__.
+_INTERNED: dict[tuple[RegisterFile, int], "Register"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Register:
-    """A register reference such as ``r12`` or ``cb0[3]``."""
+    """A register reference such as ``r12`` or ``cb0[3]``.
+
+    Interned: ``Register(file, index)`` always returns the same object, so
+    the inherited identity ``__eq__``/``__hash__`` agree with field
+    equality.  Registers are dict/set keys on every verifier and
+    compiler hot path, and identity hashing keeps those probes in C.
+    """
 
     file: RegisterFile
     index: int
 
-    def __hash__(self) -> int:
-        # Process-independent (no str/id hashing): safe to pickle
-        # alongside cached state, and a perfect hash for small indices.
-        return self.index * 8 + self.file._code
+    def __new__(cls, file: RegisterFile, index: int) -> "Register":
+        key = (file, index)
+        reg = _INTERNED.get(key)
+        if reg is None:
+            # Fields are set here, once: there is no __init__, so a later
+            # call for an equal key never rewrites the shared object.
+            reg = super().__new__(cls)
+            object.__setattr__(reg, "file", file)
+            object.__setattr__(reg, "index", index)
+            _INTERNED[key] = reg
+        return reg
+
+    def __reduce__(self):
+        # Rebuild through __new__ (pickle, copy, deepcopy), so a pool
+        # worker gets its own interned object, and the memoized
+        # ``_str``/``_as_op`` attributes are not shipped.
+        return (Register, (self.file, self.index))
 
     def __str__(self) -> str:
         text = self.__dict__.get("_str")
@@ -199,8 +226,8 @@ class ALUInstruction(ILInstruction):
 def temp(index: int) -> Register:
     """Shorthand for a virtual temporary register ``r<index>``.
 
-    Interned: kernels reuse the same low-numbered temporaries, and a
-    shared object amortizes the cached ``__str__``/operand wrappers.
+    Cached: kernels reuse the same low-numbered temporaries, and a cache
+    hit skips ``Register.__new__`` on the builder's hot path.
     """
     return Register(RegisterFile.TEMP, index)
 

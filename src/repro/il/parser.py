@@ -72,6 +72,13 @@ def _parse_operand(text: str, line_no: int, line: str) -> Operand:
     return Operand(Register(file, int(match.group(3))), negate)
 
 
+def _data_type(name: str, line_no: int, line: str) -> DataType:
+    try:
+        return DataType.from_name(name.strip())
+    except ValueError as exc:
+        raise ILParseError(line_no, line, str(exc)) from None
+
+
 def parse_il(text: str) -> ILKernel:
     """Parse IL assembly into an (unvalidated fields validated at build) kernel."""
     mode: ShaderMode | None = None
@@ -93,7 +100,7 @@ def parse_il(text: str) -> ILKernel:
             if comment.startswith("kernel:"):
                 name = comment.split(":", 1)[1].strip()
             elif comment.startswith("dtype:"):
-                dtype = DataType.from_name(comment.split(":", 1)[1])
+                dtype = _data_type(comment.split(":", 1)[1], line_no, line)
             elif comment.startswith("meta "):
                 key, _, value = comment[5:].partition(":")
                 metadata[key.strip()] = value.strip()
@@ -143,19 +150,16 @@ def _parse_declaration(
     ) or line.startswith("dcl_absolute_thread_id"):
         return
     if m := _RE_RESOURCE.fullmatch(line):
-        inputs.append(
-            InputDecl(int(m.group(1)), MemorySpace.TEXTURE, DataType.from_name(m.group(2)))
-        )
+        fmt = _data_type(m.group(2), line_no, line)
+        inputs.append(InputDecl(int(m.group(1)), MemorySpace.TEXTURE, fmt))
         return
     if m := _RE_GLOBAL_IN.fullmatch(line):
-        inputs.append(
-            InputDecl(int(m.group(1)), MemorySpace.GLOBAL, DataType.from_name(m.group(2)))
-        )
+        fmt = _data_type(m.group(2), line_no, line)
+        inputs.append(InputDecl(int(m.group(1)), MemorySpace.GLOBAL, fmt))
         return
     if m := _RE_GLOBAL_OUT.fullmatch(line):
-        outputs.append(
-            OutputDecl(int(m.group(1)), MemorySpace.GLOBAL, DataType.from_name(m.group(2)))
-        )
+        fmt = _data_type(m.group(2), line_no, line)
+        outputs.append(OutputDecl(int(m.group(1)), MemorySpace.GLOBAL, fmt))
         return
     if m := _RE_COLOR_OUT.fullmatch(line):
         fallback = dtype or DataType.FLOAT
@@ -199,5 +203,8 @@ def _parse_instruction(line: str, line_no: int) -> ILInstruction:
             for part in (p.strip() for p in m.group(3).split(","))
             if part
         )
-        return ALUInstruction(op, dest, sources)
+        try:
+            return ALUInstruction(op, dest, sources)
+        except ValueError as exc:  # wrong source count for the opcode
+            raise ILParseError(line_no, line, str(exc)) from None
     raise ILParseError(line_no, line, "unrecognized instruction")

@@ -37,9 +37,13 @@ def validate_kernel(kernel: ILKernel) -> None:
 
     Raises on the first *error*-severity diagnostic; warnings (dead
     writes, double-written outputs) pass — the optimizer handles those.
+    Only the checks that can report an error run: the dead-write
+    liveness pass is skipped, and the first error is the same one
+    :func:`check_kernel` would list first.
     """
     from repro.verify.diagnostics import errors
+    from repro.verify.il_checks import check_kernel_errors
 
-    failures = errors(check_kernel(kernel))
+    failures = errors(check_kernel_errors(kernel))
     if failures:
         raise ILValidationError(failures[0].message)

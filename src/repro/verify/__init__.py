@@ -42,7 +42,7 @@ from repro.verify.engine import (
     verification,
     verify_compiled,
 )
-from repro.verify.il_checks import check_kernel
+from repro.verify.il_checks import check_kernel, check_kernel_errors
 from repro.verify.isa_checks import check_program
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "VerificationError",
     "check_il_pass",
     "check_kernel",
+    "check_kernel_errors",
     "check_lowering",
     "check_program",
     "dead_instruction_indices",

@@ -81,33 +81,21 @@ def def_use_chains(kernel: ILKernel) -> DefUseChains:
     return DefUseChains(defs, uses)
 
 
-def dead_instruction_indices(
-    kernel: ILKernel,
-    defined: list[tuple[Register, ...]] | None = None,
-    used: list[tuple[Register, ...]] | None = None,
-) -> list[int]:
+def dead_instruction_indices(kernel: ILKernel) -> list[int]:
     """Body indices whose results never reach a store or export.
 
     The backward-liveness recomputation is intentionally independent of
     :func:`repro.compiler.optimize.eliminate_dead_code` so the verifier
-    can cross-check the optimizer rather than trust it.  ``defined`` and
-    ``used`` accept per-instruction register tuples a caller has already
-    collected (the checks in :mod:`repro.verify.il_checks` walk the same
-    body several times).
+    can cross-check the optimizer rather than trust it.
     """
     body = kernel.body
-    if defined is None:
-        defined = [instr.defined_registers() for instr in body]
-    if used is None:
-        used = [instr.used_registers() for instr in body]
     live: set[Register] = set()
     dead: list[int] = []
     temp_file = RegisterFile.TEMP
     for index in range(len(body) - 1, -1, -1):
-        defs = defined[index]
-        if isinstance(
-            body[index], (ExportInstruction, GlobalStoreInstruction)
-        ):
+        instr = body[index]
+        defs = instr.defined_registers()
+        if isinstance(instr, (ExportInstruction, GlobalStoreInstruction)):
             keep = True
         else:
             keep = False
@@ -118,7 +106,7 @@ def dead_instruction_indices(
         if keep:
             for d in defs:
                 live.discard(d)
-            for u in used[index]:
+            for u in instr.used_registers():
                 if u.file is temp_file:
                     live.add(u)
         else:
@@ -213,15 +201,26 @@ def gpr_live_intervals(program: ISAProgram) -> list[GPRInterval]:
 
 def max_live_gprs(program: ISAProgram) -> int:
     """Maximum number of simultaneously live GPR values (excluding R0)."""
-    intervals = [i for i in gpr_live_intervals(program) if i.index != 0]
+    return peak_live_gprs(gpr_live_intervals(program))
+
+
+def peak_live_gprs(intervals: list[GPRInterval]) -> int:
+    """Most closed ``[start, end]`` intervals covering one position, R0 aside.
+
+    A sweep line over the sorted starts and ends: at equal positions,
+    starts are taken before ends, so two intervals that meet at a point
+    overlap there (the allocator's closed-interval release rule).
+    """
+    starts = sorted(i.start for i in intervals if i.index != 0)
+    ends = sorted(i.end for i in intervals if i.index != 0)
     best = 0
-    for interval in intervals:
-        overlap = sum(
-            1
-            for other in intervals
-            if other.start <= interval.start <= other.end
-        )
-        best = max(best, overlap)
+    closed = 0
+    for opened, position in enumerate(starts, 1):
+        # Every interval ends at or after its start, so fewer than
+        # ``opened`` ends lie before ``position``.
+        while ends[closed] < position:
+            closed += 1
+        best = max(best, opened - closed)
     return best
 
 

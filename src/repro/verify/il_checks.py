@@ -4,9 +4,10 @@ These subsume the first-error checks :mod:`repro.il.validate` has always
 enforced (the paper's §III compiler interactions: kernels must have
 outputs, every input must be fetched *and* used) and extend them with
 dataflow diagnostics: uninitialized reads, dead writes, code after the
-terminal store, and double-written outputs.  ``validate_kernel`` now
-delegates here and raises the first error; callers that want the full
-picture use :func:`check_kernel` directly.
+terminal store, and double-written outputs.  ``validate_kernel``
+delegates to :func:`check_kernel_errors` (every check but the
+warning-only dead-write pass) and raises the first error; callers that
+want the full picture use :func:`check_kernel` directly.
 """
 
 from __future__ import annotations
@@ -32,6 +33,17 @@ def _il_loc(index: int) -> SourceLocation:
 
 def check_kernel(kernel: ILKernel) -> list[Diagnostic]:
     """Run every IL check and return all findings (possibly empty)."""
+    return check_kernel_errors(kernel) + _check_dead_writes(kernel)
+
+
+def check_kernel_errors(kernel: ILKernel) -> list[Diagnostic]:
+    """Run every IL check that can report an error.
+
+    This is :func:`check_kernel` without the V008 dead-write pass, whose
+    findings are all warnings; callers that only read ``errors(...)``
+    (``validate_kernel``, the differential pass check) use it.  The
+    V010 warnings the outputs-written pass emits are still included.
+    """
     # The passes walk the same straight-line body; collect each
     # instruction's register tuples once instead of once per pass.
     defined = [instr.defined_registers() for instr in kernel.body]
@@ -42,7 +54,6 @@ def check_kernel(kernel: ILKernel) -> list[Diagnostic]:
     diags += _check_inputs_used(kernel, used)
     diags += _check_outputs_written(kernel)
     diags += _check_terminal_stores(kernel)
-    diags += _check_dead_writes(kernel, defined, used)
     return diags
 
 
@@ -209,13 +220,9 @@ def _check_terminal_stores(kernel: ILKernel) -> list[Diagnostic]:
     return diags
 
 
-def _check_dead_writes(
-    kernel: ILKernel,
-    defined_by: list[tuple[Register, ...]] | None = None,
-    used_by: list[tuple[Register, ...]] | None = None,
-) -> list[Diagnostic]:
+def _check_dead_writes(kernel: ILKernel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for pos in dead_instruction_indices(kernel, defined_by, used_by):
+    for pos in dead_instruction_indices(kernel):
         instr = kernel.body[pos]
         diags.append(
             diag(

@@ -173,6 +173,45 @@ class TestEmitParse:
         with pytest.raises(ILParseError, match="unrecognized"):
             parse_il("il_ps_2_0\n!!! not an instruction\nend\n")
 
+    @pytest.mark.parametrize(
+        "text, line_no, message",
+        [
+            ("il_ps_2_0\nadd r1, v0\nend\n", 2, "add expects 2 sources, got 1"),
+            (
+                "il_ps_2_0\ndcl_resource_id(0)_type(2d,unnorm)_fmt(bogus)\nend\n",
+                2,
+                "unknown data type 'bogus'",
+            ),
+            (
+                "il_cs_2_0\ndcl_global_input(0)_fmt(bogus)\nend\n",
+                2,
+                "unknown data type 'bogus'",
+            ),
+            (
+                "il_cs_2_0\ndcl_global_output(0)_fmt(bogus)\nend\n",
+                2,
+                "unknown data type 'bogus'",
+            ),
+            ("il_ps_2_0\n; dtype: bogus\nend\n", 2, "unknown data type 'bogus'"),
+        ],
+        ids=[
+            "alu-arity",
+            "resource-fmt",
+            "global-input-fmt",
+            "global-output-fmt",
+            "dtype-comment",
+        ],
+    )
+    def test_bad_values_raise_typed_errors_with_line_numbers(
+        self, text, line_no, message
+    ):
+        with pytest.raises(ILParseError) as info:
+            parse_il(text)
+        assert info.value.line_no == line_no
+        assert info.value.line == text.splitlines()[line_no - 1]
+        assert str(info.value).startswith(f"line {line_no}: {message}: ")
+        assert isinstance(info.value, ValueError)
+
     @settings(max_examples=25, deadline=None)
     @given(
         inputs=st.integers(min_value=2, max_value=12),

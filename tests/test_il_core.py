@@ -1,5 +1,9 @@
 """Tests for IL types, opcodes, instructions and the kernel container."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.il import (
@@ -14,8 +18,18 @@ from repro.il import (
     SampleInstruction,
     ShaderMode,
 )
-from repro.il.instructions import const, operand, position, temp
+from repro.il.instructions import (
+    Register,
+    RegisterFile,
+    const,
+    operand,
+    position,
+    temp,
+)
 from repro.il.module import ILKernel, InputDecl, OutputDecl
+from repro.il.parser import parse_il
+from repro.il.text import emit_il
+from repro.kernels import KernelParams, generate_generic
 
 
 class TestDataType:
@@ -92,6 +106,68 @@ class TestRegistersAndOperands:
         op = operand(temp(2), negate=True)
         assert op.negate
         assert not operand(op, negate=True).negate
+
+    def test_registers_are_interned(self):
+        assert Register(RegisterFile.TEMP, 7) is temp(7)
+        assert Register(RegisterFile.CONST, 3) is const(3)
+        assert Register(RegisterFile.POSITION, 0) is position()
+        assert Register(file=RegisterFile.TEMP, index=7) is temp(7)
+
+    def test_distinct_registers_stay_distinct(self):
+        regs = [
+            Register(file, index)
+            for file in RegisterFile
+            for index in (0, 1, 7, 8)
+        ]
+        assert len({id(r) for r in regs}) == len(regs)
+        assert len(set(regs)) == len(regs)
+        assert temp(1) != temp(2)
+        assert temp(1) != Register(RegisterFile.OUTPUT, 1)
+
+    def test_parse_round_trip_yields_the_builders_registers(self):
+        kernel = generate_generic(KernelParams(inputs=4, constants=2))
+        parsed = parse_il(emit_il(kernel))
+        for built, read in zip(kernel.body, parsed.body, strict=True):
+            for a, b in zip(
+                built.defined_registers() + built.used_registers(),
+                read.defined_registers() + read.used_registers(),
+                strict=True,
+            ):
+                assert a is b
+        assert parsed == kernel
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda r: pickle.loads(pickle.dumps(r)),
+            copy.copy,
+            copy.deepcopy,
+            dataclasses.replace,
+        ],
+        ids=["pickle", "copy", "deepcopy", "replace"],
+    )
+    def test_copies_return_the_interned_object(self, clone):
+        reg = temp(5)
+        str(reg), operand(reg)  # fill the per-register memos
+        assert clone(reg) is reg
+        assert clone(const(2)) is const(2)
+
+    def test_replace_with_a_new_index_interns_too(self):
+        assert dataclasses.replace(temp(5), index=6) is temp(6)
+
+    def test_pickle_carries_no_memo(self):
+        reg = temp(9)
+        str(reg), operand(reg)
+        assert {"_str", "_as_op"} <= set(reg.__dict__)
+        data = pickle.dumps(reg)
+        assert b"_str" not in data and b"_as_op" not in data
+        assert pickle.dumps(Register(RegisterFile.TEMP, 9)) == data
+
+    def test_kernel_pickle_shares_registers(self):
+        kernel = generate_generic(KernelParams(inputs=3))
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert clone == kernel
+        assert clone.body[-1].source.register is kernel.body[-1].source.register
 
 
 class TestInstructions:

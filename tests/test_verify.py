@@ -12,6 +12,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_kernel
 from repro.il.instructions import (
@@ -46,6 +47,8 @@ from repro.kernels import (
     generate_register_usage,
 )
 from repro.sim.functional import execute_kernel
+from repro.verify.dataflow import GPRInterval, gpr_live_intervals, peak_live_gprs
+from repro.verify.diagnostics import errors
 from repro.verify import (
     CODE_CATALOG,
     Diagnostic,
@@ -55,6 +58,7 @@ from repro.verify import (
     VerificationError,
     check_il_pass,
     check_kernel,
+    check_kernel_errors,
     check_lowering,
     check_program,
     diag,
@@ -244,6 +248,238 @@ class TestILDiagnostics:
     def test_clean_kernel_has_no_diagnostics(self):
         kernel = make_kernel([sample(0, 0), add(1, 0, 0), export(0, 1)])
         assert check_kernel(kernel) == []
+
+
+# ---- error-only IL checks ---------------------------------------------------
+
+#: The IL negative fixtures, one per diagnostic code V001-V010, plus
+#: kernels with several findings, an empty kernel and a clean one.
+IL_FIXTURES = {
+    "V001": make_kernel([sample(0, 0)], outputs=0),
+    "V002": make_kernel(
+        [sample(0, 0), add(1, 0, 0), export(0, 1)], mode=ShaderMode.COMPUTE
+    ),
+    "V003": make_kernel(
+        [sample(0, 0), add(1, 0, 0)] + [export(i, 1) for i in range(9)],
+        outputs=9,
+    ),
+    "V004": make_kernel([sample(0, 0), add(1, 0, 7), export(0, 1)]),
+    "V005": make_kernel([sample(0, 0), add(1, 0, 0), export(0, 1)], inputs=2),
+    "V006": make_kernel(
+        [sample(0, 0), sample(1, 1), add(2, 0, 0), export(0, 2)], inputs=2
+    ),
+    "V007": make_kernel([sample(0, 0), add(1, 0, 0), export(0, 1)], outputs=2),
+    "V008": make_kernel(
+        [sample(0, 0), add(1, 0, 0), add(2, 1, 1), export(0, 1)]
+    ),
+    "V009": make_kernel(
+        [sample(0, 0), add(1, 0, 0), export(0, 1), add(2, 1, 1)]
+    ),
+    "V010": make_kernel(
+        [sample(0, 0), add(1, 0, 0), export(0, 1), export(0, 1)]
+    ),
+    "several": make_kernel([add(1, 7, 7), export(0, 1)], outputs=2),
+    "warnings": make_kernel(
+        [
+            sample(0, 0),
+            add(1, 0, 0),
+            add(2, 1, 1),
+            add(3, 2, 9),
+            export(0, 1),
+            export(0, 1),
+            add(4, 1, 1),
+        ]
+    ),
+    "empty": make_kernel([], inputs=0, outputs=0),
+    "clean": make_kernel([sample(0, 0), add(1, 0, 0), export(0, 1)]),
+}
+
+#: ``check_kernel`` output for each fixture as (code, location, message),
+#: recorded before the error-only split; ``repro lint`` prints these.
+PINNED_IL_DIAGNOSTICS = {
+    'V001': [
+        ('V001', None, "kernel 'handmade' has no outputs; the CAL compiler would eliminate it entirely (paper §III)"),
+        ('V006', None, "kernel 'handmade': input 0 is sampled into r0 but the value is never used (paper §III)"),
+        ('V008', 'il:0', "kernel 'handmade': instruction 0 (sample_resource(0)_sampler(0) r0, v0) computes a value that never reaches an output (DCE would remove it)"),
+    ],
+    'V002': [
+        ('V002', None, "kernel 'handmade': compute shader mode cannot write color buffers (output 0, paper §III-C)"),
+    ],
+    'V003': [
+        ('V003', None, "kernel 'handmade' declares 9 color buffers; the hardware supports at most 8 render targets"),
+    ],
+    'V004': [
+        ('V004', 'il:1', "kernel 'handmade': instruction 1 (add r1, r0, r7) reads r7 before it is written"),
+    ],
+    'V005': [
+        ('V005', None, "kernel 'handmade': input 1 is never sampled; the CAL compiler would optimize it out (paper §III)"),
+    ],
+    'V006': [
+        ('V006', None, "kernel 'handmade': input 1 is sampled into r1 but the value is never used (paper §III)"),
+        ('V008', 'il:1', "kernel 'handmade': instruction 1 (sample_resource(1)_sampler(1) r1, v0) computes a value that never reaches an output (DCE would remove it)"),
+    ],
+    'V007': [
+        ('V007', None, "kernel 'handmade': color output 1 is never written"),
+    ],
+    'V008': [
+        ('V008', 'il:2', "kernel 'handmade': instruction 2 (add r2, r1, r1) computes a value that never reaches an output (DCE would remove it)"),
+    ],
+    'V009': [
+        ('V009', 'il:3', "kernel 'handmade': instruction 3 (add r2, r1, r1) follows the store at 2; exports terminate the program"),
+        ('V008', 'il:3', "kernel 'handmade': instruction 3 (add r2, r1, r1) computes a value that never reaches an output (DCE would remove it)"),
+    ],
+    'V010': [
+        ('V010', None, "kernel 'handmade': color output 0 is written 2 times; only the last store survives"),
+    ],
+    'several': [
+        ('V004', 'il:0', "kernel 'handmade': instruction 0 (add r1, r7, r7) reads r7 before it is written"),
+        ('V004', 'il:0', "kernel 'handmade': instruction 0 (add r1, r7, r7) reads r7 before it is written"),
+        ('V005', None, "kernel 'handmade': input 0 is never sampled; the CAL compiler would optimize it out (paper §III)"),
+        ('V007', None, "kernel 'handmade': color output 1 is never written"),
+    ],
+    'warnings': [
+        ('V004', 'il:3', "kernel 'handmade': instruction 3 (add r3, r2, r9) reads r9 before it is written"),
+        ('V010', None, "kernel 'handmade': color output 0 is written 2 times; only the last store survives"),
+        ('V009', 'il:6', "kernel 'handmade': instruction 6 (add r4, r1, r1) follows the store at 4; exports terminate the program"),
+        ('V008', 'il:2', "kernel 'handmade': instruction 2 (add r2, r1, r1) computes a value that never reaches an output (DCE would remove it)"),
+        ('V008', 'il:3', "kernel 'handmade': instruction 3 (add r3, r2, r9) computes a value that never reaches an output (DCE would remove it)"),
+        ('V008', 'il:6', "kernel 'handmade': instruction 6 (add r4, r1, r1) computes a value that never reaches an output (DCE would remove it)"),
+    ],
+    'empty': [
+        ('V001', None, "kernel 'handmade' has no outputs; the CAL compiler would eliminate it entirely (paper §III)"),
+    ],
+    'clean': [],
+}
+
+
+def assert_validate_agrees_with_check_kernel(kernel: ILKernel) -> None:
+    """``validate_kernel`` raises iff ``check_kernel`` finds an error.
+
+    The raised message is the first error's, and the error-only checks
+    return exactly ``check_kernel``'s findings minus the V008 pass.
+    """
+    found = check_kernel(kernel)
+    assert check_kernel_errors(kernel) == [
+        d for d in found if d.code != "V008"
+    ]
+    failures = errors(found)
+    if failures:
+        with pytest.raises(ILValidationError) as info:
+            validate_kernel(kernel)
+        assert str(info.value) == failures[0].message
+    else:
+        validate_kernel(kernel)
+
+
+@st.composite
+def mutated_figure3_kernels(draw) -> ILKernel:
+    """The Figure 3 kernel with a few random body and declaration edits."""
+    mode = draw(st.sampled_from(list(ShaderMode)))
+    kernel = generate_generic(
+        KernelParams(
+            inputs=draw(st.integers(2, 5)),
+            outputs=draw(st.integers(1, 2)),
+            alu_fetch_ratio=draw(st.sampled_from([0.5, 1.0, 2.0])),
+            mode=mode,
+        )
+    )
+    body = list(kernel.body)
+    inputs, outputs = list(kernel.inputs), list(kernel.outputs)
+    index = st.integers(0, 63)
+    for edit in draw(
+        st.lists(
+            st.sampled_from(
+                [
+                    "delete",
+                    "duplicate",
+                    "swap",
+                    "reroute",
+                    "drop_input",
+                    "extra_input",
+                    "extra_output",
+                    "drop_outputs",
+                    "flip_mode",
+                ]
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    ):
+        i, j = draw(index), draw(index)
+        if edit == "delete" and body:
+            del body[i % len(body)]
+        elif edit == "duplicate" and body:
+            body.insert(j % (len(body) + 1), body[i % len(body)])
+        elif edit == "swap" and body:
+            a, b = i % len(body), j % len(body)
+            body[a], body[b] = body[b], body[a]
+        elif edit == "reroute" and body:
+            # Point one read (or a fetch's write) at another temporary,
+            # possibly one that is never written.
+            pos = i % len(body)
+            instr = body[pos]
+            reg = temp(j % (len(body) + 3))
+            if isinstance(instr, ALUInstruction):
+                sources = (Operand(reg),) + instr.sources[1:]
+                body[pos] = dataclasses.replace(instr, sources=sources)
+            elif isinstance(instr, SampleInstruction):
+                body[pos] = dataclasses.replace(instr, dest=reg)
+            elif isinstance(instr, ExportInstruction):
+                body[pos] = dataclasses.replace(instr, source=Operand(reg))
+        elif edit == "drop_input" and inputs:
+            inputs.pop()
+        elif edit == "extra_input":
+            space = inputs[0].space if inputs else MemorySpace.TEXTURE
+            inputs.append(InputDecl(len(inputs), space, kernel.dtype))
+        elif edit == "extra_output":
+            space = outputs[0].space if outputs else MemorySpace.GLOBAL
+            outputs.append(OutputDecl(len(outputs), space, kernel.dtype))
+        elif edit == "drop_outputs":
+            outputs = []
+        elif edit == "flip_mode":
+            mode = (
+                ShaderMode.COMPUTE
+                if mode is ShaderMode.PIXEL
+                else ShaderMode.PIXEL
+            )
+    return dataclasses.replace(
+        kernel,
+        mode=mode,
+        inputs=tuple(inputs),
+        outputs=tuple(outputs),
+        body=tuple(body),
+    )
+
+
+class TestErrorOnlyILChecks:
+    @pytest.mark.parametrize("name", sorted(IL_FIXTURES))
+    def test_check_kernel_output_is_unchanged(self, name):
+        found = [
+            (
+                d.code,
+                str(d.location) if d.location is not None else None,
+                d.message,
+            )
+            for d in check_kernel(IL_FIXTURES[name])
+        ]
+        assert found == PINNED_IL_DIAGNOSTICS[name]
+
+    @pytest.mark.parametrize("name", sorted(IL_FIXTURES))
+    def test_validate_agrees_on_fixtures(self, name):
+        assert_validate_agrees_with_check_kernel(IL_FIXTURES[name])
+
+    @settings(max_examples=200, deadline=None)
+    @given(kernel=mutated_figure3_kernels())
+    def test_validate_agrees_on_mutated_figure3_kernels(self, kernel):
+        assert_validate_agrees_with_check_kernel(kernel)
+
+    def test_differential_pass_check_reports_the_same_errors(self):
+        kernel = IL_FIXTURES["clean"]
+        broken = IL_FIXTURES["several"]
+        found = check_il_pass(kernel, broken, "breaks_everything")
+        assert [d.code for d in found] == ["V202"]
+        for failure in errors(check_kernel(broken)):
+            assert failure.message in found[0].message
 
 
 # ---- ISA-level known-bad programs ------------------------------------------
@@ -506,6 +742,73 @@ class TestGPRCrossCheck:
 
     def test_max_live_excludes_reserved_r0(self, simple_program):
         assert max_live_gprs(simple_program) == simple_program.gpr_count - 1
+
+
+def quadratic_max_live(intervals: list[GPRInterval]) -> int:
+    """The O(n^2) max-live definition the sweep line replaced (reference)."""
+    live = [i for i in intervals if i.index != 0]
+    best = 0
+    for interval in live:
+        overlap = sum(
+            1
+            for other in live
+            if other.start <= interval.start <= other.end
+        )
+        best = max(best, overlap)
+    return best
+
+
+#: Intervals over a few positions, so ties and zero-length ranges are common.
+gpr_intervals = st.lists(
+    st.builds(
+        lambda index, start, length: GPRInterval(index, start, start + length),
+        st.integers(0, 5),
+        st.integers(0, 10),
+        st.integers(0, 4),
+    ),
+    max_size=40,
+)
+
+
+class TestSweepLineMaxLive:
+    @settings(max_examples=300, deadline=None)
+    @given(intervals=gpr_intervals)
+    def test_matches_quadratic_definition(self, intervals):
+        assert peak_live_gprs(intervals) == quadratic_max_live(intervals)
+
+    @pytest.mark.parametrize(
+        "spans, expected",
+        [
+            ([], 0),
+            ([(0, 0, 9)], 0),  # R0 never counts
+            ([(1, 3, 3), (2, 3, 3), (3, 3, 3)], 3),  # zero-length, one position
+            ([(1, 0, 2), (2, 2, 4)], 2),  # closed: touching ranges overlap
+            ([(1, 0, 1), (2, 2, 4)], 1),
+            ([(1, 0, 5), (2, 1, 1), (3, 2, 2), (4, 5, 5)], 2),
+        ],
+    )
+    def test_closed_interval_edge_cases(self, spans, expected):
+        intervals = [GPRInterval(*span) for span in spans]
+        assert peak_live_gprs(intervals) == expected
+        assert quadratic_max_live(intervals) == expected
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            generate_generic(KernelParams(inputs=n, alu_fetch_ratio=r))
+            for n, r in [(2, 0.5), (8, 1.0), (16, 4.0)]
+        ]
+        + [
+            generate_register_usage(KernelParams(inputs=64, space=8, step=s))
+            for s in (0, 2, 7)
+        ],
+        ids=lambda k: k.name,
+    )
+    def test_compiled_programs_match_quadratic_definition(self, kernel):
+        program = compile_kernel(kernel)
+        intervals = gpr_live_intervals(program)
+        assert max_live_gprs(program) == quadratic_max_live(intervals)
+        assert recomputed_gpr_count(program) == program.gpr_count
 
 
 # ---- differential pass validation ------------------------------------------
