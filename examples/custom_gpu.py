@@ -15,7 +15,7 @@ import dataclasses
 from repro import DataType, KernelParams, LaunchConfig, compile_kernel
 from repro.analysis import find_knee
 from repro.arch import RV870
-from repro.arch.specs import CacheSpec, MemorySpec
+from repro.arch.specs import CacheSpec
 from repro.kernels import generate_generic
 from repro.sim import simulate_launch
 

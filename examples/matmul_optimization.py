@@ -15,11 +15,10 @@ Run:  python examples/matmul_optimization.py
 
 import numpy as np
 
-from repro import KernelParams, LaunchConfig, compile_kernel, generate_generic
+from repro import KernelParams, generate_generic
 from repro.apps import advise, analyze_matmul, simulated_matmul
 from repro.arch import RV770, all_gpus
 from repro.cal import time_kernel
-from repro.il import DataType
 from repro.ska import format_report
 
 

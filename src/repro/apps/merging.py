@@ -16,9 +16,11 @@ the IL-level merge (renumbering streams and virtual registers);
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.arch.specs import GPUSpec
 from repro.compiler import compile_kernel
+from repro.il.defuse import def_use
 from repro.il.instructions import (
     ALUInstruction,
     ExportInstruction,
@@ -123,12 +125,12 @@ def merge_kernels(a: ILKernel, b: ILKernel, name: str | None = None) -> ILKernel
             f"merged kernel would need {color_outputs} color buffers (max 8)"
         )
 
+    a_index = def_use(a)
     temp_offset = 1 + max(
         (
             reg.index
-            for instr in a.body
-            for reg in (*instr.defined_registers(), *instr.used_registers())
-            if reg.file is RegisterFile.TEMP
+            for reg in chain(a_index.defs, *a_index.uses)
+            if reg is not None and reg.file is RegisterFile.TEMP
         ),
         default=-1,
     )

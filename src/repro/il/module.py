@@ -73,6 +73,14 @@ class ILKernel:
     #: free-form provenance (generator name and parameters).
     metadata: dict = field(default_factory=dict, compare=False)
 
+    def __getstate__(self) -> dict:
+        # The def-use index (repro.il.defuse) is cheap to rebuild, so it
+        # stays out of pickles such as pool payloads.
+        state = self.__dict__
+        if "_def_use" in state:
+            state = {k: v for k, v in state.items() if k != "_def_use"}
+        return state
+
     # ---- derived ---------------------------------------------------------
     @property
     def num_inputs(self) -> int:

@@ -1,32 +1,19 @@
-"""Dataflow analyses over IL kernels and lowered ISA programs.
+"""GPR live intervals over lowered ISA programs.
 
-Three independent recomputations back the verifier's checks:
-
-* **IL def-use chains** — which instruction defines each virtual
-  register and which instructions read it (straight-line programs, so a
-  single forward pass suffices).
-* **IL backward liveness** — which instructions can reach an output;
-  everything else is a dead write the CAL compiler would delete (§III).
-* **ISA GPR live intervals** — per *physical* register intervals over
-  the linearized clause stream.  The maximum number of simultaneously
-  live intervals, plus the reserved position register ``R0``, is what
-  the paper reports as "GPRs used"; :func:`recomputed_gpr_count` derives
-  it without consulting the register allocator, so the verifier can
-  cross-check ``regalloc``'s ``gpr_count`` (the number behind the
-  paper's wavefront-residency results, Figs. 16-17).
+Per *physical* register intervals over the linearized clause stream.
+The maximum number of simultaneously live intervals, plus the reserved
+position register ``R0``, is what the paper reports as "GPRs used";
+:func:`recomputed_gpr_count` derives it without consulting the register
+allocator, so the verifier can cross-check ``regalloc``'s ``gpr_count``
+(the number behind the paper's wavefront-residency results, Figs.
+16-17).  The IL-level def-use index and liveness live in
+:mod:`repro.il.defuse`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.il.instructions import (
-    ExportInstruction,
-    GlobalStoreInstruction,
-    Register,
-    RegisterFile,
-)
-from repro.il.module import ILKernel
 from repro.isa.clauses import (
     ALUClause,
     ExportClause,
@@ -36,86 +23,6 @@ from repro.isa.clauses import (
 )
 from repro.isa.program import ISAProgram
 
-
-# ---- IL level --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DefUseChains:
-    """Definition and use sites of every virtual register in a kernel."""
-
-    #: register -> body indices that write it (normally one: SSA-style).
-    defs: dict[Register, list[int]]
-    #: register -> body indices that read it.
-    uses: dict[Register, list[int]]
-
-    def unused_defs(self) -> list[tuple[int, Register]]:
-        """Definitions whose register is never read afterwards."""
-        dead: list[tuple[int, Register]] = []
-        for reg, positions in self.defs.items():
-            reads = self.uses.get(reg, [])
-            for pos in positions:
-                later = [
-                    d for d in positions if d > pos
-                ]  # next redefinition, if any
-                horizon = min(later) if later else None
-                alive = any(
-                    r > pos and (horizon is None or r <= horizon)
-                    for r in reads
-                )
-                if not alive:
-                    dead.append((pos, reg))
-        return dead
-
-
-def def_use_chains(kernel: ILKernel) -> DefUseChains:
-    """Collect def/use sites of the kernel's virtual temporaries."""
-    defs: dict[Register, list[int]] = {}
-    uses: dict[Register, list[int]] = {}
-    for pos, instr in enumerate(kernel.body):
-        for reg in instr.used_registers():
-            if reg.file is RegisterFile.TEMP:
-                uses.setdefault(reg, []).append(pos)
-        for reg in instr.defined_registers():
-            if reg.file is RegisterFile.TEMP:
-                defs.setdefault(reg, []).append(pos)
-    return DefUseChains(defs, uses)
-
-
-def dead_instruction_indices(kernel: ILKernel) -> list[int]:
-    """Body indices whose results never reach a store or export.
-
-    The backward-liveness recomputation is intentionally independent of
-    :func:`repro.compiler.optimize.eliminate_dead_code` so the verifier
-    can cross-check the optimizer rather than trust it.
-    """
-    body = kernel.body
-    live: set[Register] = set()
-    dead: list[int] = []
-    temp_file = RegisterFile.TEMP
-    for index in range(len(body) - 1, -1, -1):
-        instr = body[index]
-        defs = instr.defined_registers()
-        if isinstance(instr, (ExportInstruction, GlobalStoreInstruction)):
-            keep = True
-        else:
-            keep = False
-            for d in defs:
-                if d in live:
-                    keep = True
-                    break
-        if keep:
-            for d in defs:
-                live.discard(d)
-            for u in instr.used_registers():
-                if u.file is temp_file:
-                    live.add(u)
-        else:
-            dead.append(index)
-    dead.reverse()
-    return dead
-
-
-# ---- ISA level -------------------------------------------------------------
 
 @dataclass
 class GPRInterval:

@@ -12,6 +12,7 @@ want the full picture use :func:`check_kernel` directly.
 
 from __future__ import annotations
 
+from repro.il.defuse import DefUse, dead_instructions, def_use
 from repro.il.instructions import (
     ALUInstruction,
     ExportInstruction,
@@ -23,7 +24,6 @@ from repro.il.instructions import (
 )
 from repro.il.module import ILKernel
 from repro.il.types import MemorySpace, ShaderMode
-from repro.verify.dataflow import dead_instruction_indices
 from repro.verify.diagnostics import Diagnostic, SourceLocation, diag
 
 
@@ -44,14 +44,11 @@ def check_kernel_errors(kernel: ILKernel) -> list[Diagnostic]:
     (``validate_kernel``, the differential pass check) use it.  The
     V010 warnings the outputs-written pass emits are still included.
     """
-    # The passes walk the same straight-line body; collect each
-    # instruction's register tuples once instead of once per pass.
-    defined = [instr.defined_registers() for instr in kernel.body]
-    used = [instr.used_registers() for instr in kernel.body]
+    index = def_use(kernel)
     diags: list[Diagnostic] = []
     diags += _check_outputs(kernel)
-    diags += _check_def_before_use(kernel, defined, used)
-    diags += _check_inputs_used(kernel, used)
+    diags += _check_def_before_use(kernel, index)
+    diags += _check_inputs_used(kernel, index)
     diags += _check_outputs_written(kernel)
     diags += _check_terminal_stores(kernel)
     return diags
@@ -94,15 +91,12 @@ def _check_outputs(kernel: ILKernel) -> list[Diagnostic]:
     return diags
 
 
-def _check_def_before_use(
-    kernel: ILKernel,
-    defined_by: list[tuple[Register, ...]],
-    used_by: list[tuple[Register, ...]],
-) -> list[Diagnostic]:
+def _check_def_before_use(kernel: ILKernel, index: DefUse) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
     defined: set[Register] = set()
-    for pos, instr in enumerate(kernel.body):
-        for reg in used_by[pos]:
+    rows = zip(kernel.body, index.defs, index.uses)
+    for pos, (instr, dest, uses) in enumerate(rows):
+        for reg in uses:
             if reg.file is RegisterFile.TEMP and reg not in defined:
                 diags.append(
                     diag(
@@ -113,35 +107,36 @@ def _check_def_before_use(
                         register=str(reg),
                     )
                 )
-        defined.update(defined_by[pos])
+        if dest is not None:
+            defined.add(dest)
     return diags
 
 
-def _check_inputs_used(
-    kernel: ILKernel, used_by: list[tuple[Register, ...]]
-) -> list[Diagnostic]:
+def _check_inputs_used(kernel: ILKernel, index: DefUse) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    sampled: dict[int, Register] = {}
-    global_loaded: dict[int, Register] = {}
+    # Every fetch destination of each input, in body order: an input
+    # fetched more than once is used if any of its fetches is.
+    sampled: dict[int, list[Register]] = {}
+    global_loaded: dict[int, list[Register]] = {}
     consumed: set[Register] = set()
     for pos, instr in enumerate(kernel.body):
         if isinstance(instr, SampleInstruction):
-            sampled[instr.resource] = instr.dest
+            sampled.setdefault(instr.resource, []).append(instr.dest)
         elif isinstance(instr, GlobalLoadInstruction):
-            global_loaded[instr.offset] = instr.dest
+            global_loaded.setdefault(instr.offset, []).append(instr.dest)
         elif isinstance(
             instr, (ALUInstruction, ExportInstruction, GlobalStoreInstruction)
         ):
-            consumed.update(used_by[pos])
+            consumed.update(index.uses[pos])
 
     for decl in kernel.inputs:
         if decl.space is MemorySpace.TEXTURE:
-            reg = sampled.get(decl.index)
+            dests = sampled.get(decl.index)
             kind = "sampled"
         else:
-            reg = global_loaded.get(decl.index)
+            dests = global_loaded.get(decl.index)
             kind = "loaded"
-        if reg is None:
+        if dests is None:
             diags.append(
                 diag(
                     "V005",
@@ -151,7 +146,8 @@ def _check_inputs_used(
                     input=decl.index,
                 )
             )
-        elif reg not in consumed:
+        elif not any(reg in consumed for reg in dests):
+            reg = dests[-1]
             diags.append(
                 diag(
                     "V006",
@@ -222,7 +218,7 @@ def _check_terminal_stores(kernel: ILKernel) -> list[Diagnostic]:
 
 def _check_dead_writes(kernel: ILKernel) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    for pos in dead_instruction_indices(kernel):
+    for pos in dead_instructions(kernel):
         instr = kernel.body[pos]
         diags.append(
             diag(

@@ -6,18 +6,22 @@ import pickle
 
 import pytest
 
+from repro.compiler import compile_kernel
 from repro.il import (
     ALUInstruction,
     DataType,
     ExportInstruction,
     GlobalLoadInstruction,
     GlobalStoreInstruction,
+    ILBuilder,
     ILOp,
     MemorySpace,
     Operand,
     SampleInstruction,
     ShaderMode,
+    defuse,
 )
+from repro.il.defuse import def_use
 from repro.il.instructions import (
     Register,
     RegisterFile,
@@ -30,6 +34,7 @@ from repro.il.module import ILKernel, InputDecl, OutputDecl
 from repro.il.parser import parse_il
 from repro.il.text import emit_il
 from repro.kernels import KernelParams, generate_generic
+from repro.suite import BENCHMARKS
 
 
 class TestDataType:
@@ -257,3 +262,58 @@ class TestILKernel:
         summary = self._kernel().summary()
         assert "pixel" in summary
         assert "in=2" in summary
+
+
+class TestDefUseIndex:
+    def test_pickle_drops_the_index_and_rebuilds_an_equal_one(self):
+        kernel = generate_generic(KernelParams(inputs=4, constants=2))
+        index = def_use(kernel)
+        assert kernel.__dict__["_def_use"] is index
+        clone = pickle.loads(pickle.dumps(kernel))
+        assert "_def_use" not in clone.__dict__
+        assert "_def_use" in kernel.__dict__
+        assert def_use(clone) == index
+
+    def test_index_matches_every_fast_suite_kernel(self):
+        kernels = {
+            id(kernel): kernel
+            for figure in sorted(BENCHMARKS)
+            for _spec, _value, kernel, _unit in BENCHMARKS[figure]().plan_units(
+                fast=True
+            )
+        }
+        for kernel in kernels.values():
+            index = def_use(kernel)
+            assert len(index.defs) == len(index.uses) == len(kernel.body)
+            for instr, dest, uses in zip(kernel.body, index.defs, index.uses):
+                assert (() if dest is None else (dest,)) == (
+                    instr.defined_registers()
+                )
+                assert uses == instr.used_registers()
+
+    @staticmethod
+    def _kernel_with_dead_add() -> ILKernel:
+        builder = ILBuilder("dead_add", ShaderMode.PIXEL, DataType.FLOAT)
+        value = builder.sample(builder.declare_input())
+        out = builder.declare_output()
+        builder.add(value, value)  # dead: DCE derives a second kernel
+        builder.store(out, value)
+        return builder.build()
+
+    @pytest.mark.parametrize("dead_code", [False, True])
+    def test_index_is_built_once_per_kernel_object(self, monkeypatch, dead_code):
+        built: list[ILKernel] = []
+        real_build = defuse._build_index
+
+        def counting_build(kernel):
+            built.append(kernel)
+            return real_build(kernel)
+
+        monkeypatch.setattr(defuse, "_build_index", counting_build)
+        if dead_code:
+            kernel = self._kernel_with_dead_add()
+        else:
+            kernel = generate_generic(KernelParams(inputs=8, alu_fetch_ratio=2.0))
+        program = compile_kernel(kernel, verify=True)
+        expected = [kernel, program.kernel] if dead_code else [kernel]
+        assert [id(k) for k in built] == [id(k) for k in expected]

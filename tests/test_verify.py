@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.compiler import compile_kernel
+from repro.compiler.optimize import eliminate_dead_code
 from repro.il.instructions import (
     ALUInstruction,
     ExportInstruction,
@@ -25,6 +26,7 @@ from repro.il.instructions import (
 )
 from repro.il.module import ILKernel, InputDecl, OutputDecl
 from repro.il.opcodes import ILOp
+from repro.il.parser import parse_il
 from repro.il.types import DataType, MemorySpace, ShaderMode
 from repro.il.validate import ILValidationError, validate_kernel
 from repro.isa.clauses import (
@@ -199,6 +201,27 @@ class TestILDiagnostics:
             inputs=2,
         )
         assert "V006" in codes(check_kernel(kernel))
+
+    def test_input_fetched_twice_is_used_if_any_fetch_is(self):
+        # The second fetch is dead (V008), but the input itself feeds the
+        # export through the first one, so V006 must not fire.
+        kernel = parse_il(
+            "il_ps_2_0\n"
+            "dcl_input_position_interp(linear_noperspective) v0.xy__\n"
+            "dcl_resource_id(0)_type(2d,unnorm)_fmt(float)\n"
+            "dcl_output_generic o0\n"
+            "sample_resource(0)_sampler(0) r0, v0\n"
+            "sample_resource(0)_sampler(0) r1, v0\n"
+            "mov o0, r0\n"
+            "end\n"
+        )
+        found = check_kernel(kernel)
+        assert [(d.code, d.location.instruction) for d in found] == [
+            ("V008", 1)
+        ]
+        program = compile_kernel(kernel, verify=True)
+        assert eliminate_dead_code(kernel)[1] == 1
+        assert len(program.kernel.body) == 2
 
     def test_v007_output_never_written(self):
         kernel = make_kernel(

@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-CHECK_DIRS = ("src", "tools", "tests")
+CHECK_DIRS = ("src", "tools", "tests", "examples", "benchmarks")
 
 
 def _announce(title: str) -> None:
